@@ -284,6 +284,12 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
             raise DataError(f"no model at {p}; run train first")
     kpca = load_kpca(kpca_path)
     mlp = load_mlp(mlp_path)
+    if mlp.in_dim != kpca.n_components:
+        raise DataError(
+            f"{mlp_path} takes {mlp.in_dim} inputs but {kpca_path} gives "
+            f"{kpca.n_components} components; the two files come from "
+            "different train runs"
+        )
 
     conditions: dict[str, SplitData] = {}
     bin_hz = None

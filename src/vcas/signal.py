@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterError
 
@@ -170,6 +169,10 @@ def _resonator_coeffs(
 
 def modal_response(plant: ModalPlant, excitation: Waveform) -> np.ndarray:
     """Noise-free plant output: the excitation through each mode, summed."""
+    # Imported here, not at module top: scipy.signal is most of the
+    # package's import time, and only synthesis needs it.
+    from scipy.signal import lfilter
+
     nyquist = excitation.sample_rate / 2
     for f, _, _ in plant.modes:
         if f >= nyquist:
@@ -239,12 +242,3 @@ def write_waveform_csv(w: Waveform, path: str | Path) -> Path:
             fh.write(f"{float(v)!r}\n")
     return path
 
-
-def waveform_to_container_arrays(w: Waveform) -> tuple[dict, dict]:
-    arrays = {"samples": w.samples}
-    meta = {"sample_rate": w.sample_rate}
-    return arrays, meta
-
-
-def waveform_from_container_arrays(arrays: dict, meta: dict) -> Waveform:
-    return Waveform(arrays["samples"], float(meta["sample_rate"]))

@@ -1,11 +1,17 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcas.cli
 from vcas.cli import build_parser, main, parse_kv_text, run_config_from_args
 from vcas.envsim import ObservationModel, observation_model_to_csv
-from vcas.errors import ParameterError
+from vcas.errors import NumericalError, ParameterError
 
 TINY_GRASP = [
     "--set", "sessions_train=2",
@@ -156,6 +162,27 @@ def test_report_on_unrecognized_payload_exits_2(tmp_path):
     assert main(["report", str(bogus), "--out", str(tmp_path)]) == 2
 
 
+def test_kpca_and_mlp_from_different_runs_exit_2(workspace, tmp_path, capsys):
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    args = ["--task", "grasp", *TINY_GRASP, "--set", "n_components=2"]
+    assert main(["train", *args, "--out", str(tmp_path)]) == 0
+    kpca_path = tmp_path / "grasp" / "models" / "kpca_full.vcas"
+    shutil.copyfile(workspace / "grasp" / "models" / "kpca_full.vcas", kpca_path)
+    capsys.readouterr()
+    assert main(["eval", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(kpca_path) in err
+    assert str(tmp_path / "grasp" / "models" / "mlp_full.vcas") in err
+
+
+def test_numerical_error_exits_3(monkeypatch, tmp_path):
+    def diverge(args, out_dir):
+        raise NumericalError("loss is NaN")
+
+    monkeypatch.setattr(vcas.cli, "_dispatch", diverge)
+    assert main(["train", "--task", "grasp", "--out", str(tmp_path)]) == 3
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "synth-data" in capsys.readouterr().out
@@ -271,3 +298,22 @@ def test_out_flag_beats_environment(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert (tmp_path / "chosen" / "sim" / "demos.jsonl").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_sim_commands_start_without_scipy(tmp_path):
+    """Only synthesis filters a signal, so only it may load scipy."""
+    probe = (
+        "import sys\n"
+        "from vcas.cli import main\n"
+        "rc = main(['sim', 'demos', '--episodes', '2', '--out', sys.argv[1]])\n"
+        "print(rc, sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(vcas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
