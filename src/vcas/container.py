@@ -16,7 +16,7 @@ Layout (all integers little-endian):
         data  prod(dims) * f64, little-endian, C order
 
 Floats are stored as raw IEEE-754 doubles, so read(write(x)) is
-bit-exact.  A corrupted magic or an unknown version is rejected before
+bit-exact.  Writes go to a temporary file that is renamed into place.  A corrupted magic or an unknown version is rejected before
 any payload is read.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -71,7 +72,15 @@ def write_container(
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.tobytes(order="C"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(chunks))
+    # Write beside the target, then rename over it, so a crash leaves
+    # either the old file or the new one, never a half-written one.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -1,17 +1,19 @@
 """Experiment plumbing: configs, dataset synthesis, training, evaluation.
 
 A run is described by a RunConfig (task, band, component count, session
-layout, seeds).  Synthesis drives the modal plant through the standard
-chirp once per (session, class/pose), then stamps out samples by
-re-seeding only the additive noise, so datasets are cheap and bit
-reproducible.  Training chains band selection, kernel PCA, and the MLP;
-evaluation emits per-condition metric rows shaped like the tables the
-report command consumes.
+layout, seeds).  Synthesis lists one job per (session, class/pose):
+a plant, its target and its noise seeds.  One loop drives every job's
+plant through the standard chirp in a single batched modal_response
+call, then stamps out samples by re-seeding only the additive noise, so
+datasets are cheap and bit reproducible.  Training chains band
+selection, kernel PCA, and the MLP; evaluation emits per-condition
+metric rows shaped like the tables the report command consumes.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +44,14 @@ from .learn import (
     eval_regressor,
     mlp_train,
 )
-from .signal import Waveform, apply_noise, default_chirp_spec, generate_chirp, modal_response
+from .signal import (
+    ModalPlant,
+    Waveform,
+    apply_noise,
+    default_chirp_spec,
+    generate_chirp,
+    modal_response,
+)
 
 TASKS = plants.TASKS
 
@@ -191,7 +200,7 @@ class TaskData:
 
 
 class _DatasetBuilder:
-    """Preallocated row collector for one (condition, split)."""
+    """Row collector for one (condition, split), sized from its jobs."""
 
     def __init__(self, n_rows: int, n_bins: int, classification: bool):
         self.rows = np.empty((n_rows, n_bins))
@@ -199,36 +208,31 @@ class _DatasetBuilder:
         self.sessions = np.empty(n_rows, dtype=np.int64)
         self._fill = 0
 
-    def add(self, rows: np.ndarray, target, session_id: int) -> None:
-        k = rows.shape[0]
-        sl = slice(self._fill, self._fill + k)
-        self.rows[sl] = rows
-        self.targets[sl] = target
-        self.sessions[sl] = session_id
-        self._fill += k
+    def add(self, row: np.ndarray, target, session_id: int) -> None:
+        self.rows[self._fill] = row
+        self.targets[self._fill] = target
+        self.sessions[self._fill] = session_id
+        self._fill += 1
 
     def dataset(self, label_names, split_tag: str) -> Dataset:
-        if self._fill != self.rows.shape[0]:
-            raise ParameterError(
-                f"builder filled {self._fill} of {self.rows.shape[0]} rows"
-            )
         return Dataset(self.rows, self.targets, label_names, split_tag, self.sessions)
 
 
-def _noisy_spectra(
-    clean: np.ndarray, snr_db: float, seeds: np.ndarray, sample_rate: float
-) -> np.ndarray:
-    """One magnitude-spectrum row per noise seed over a cached response."""
-    n_bins = clean.size // 2 + 1
-    rows = np.empty((seeds.size, n_bins))
-    for i, s in enumerate(seeds):
-        w = Waveform(apply_noise(clean, snr_db, int(s)), sample_rate)
-        rows[i] = fft_magnitude(w).magnitudes
-    return rows
+# One clean response per job, one noisy spectrum row per noise seed:
+# (role, plant, target, session_id, noise_seeds).  The role names the
+# dataset the rows go to: train, test, or a test-only condition.
+_Job = tuple[str, ModalPlant, object, int, np.ndarray]
 
 
-def _session_layout(cfg: RunConfig) -> list[tuple[str, float, int]]:
-    """(role, jitter_scale, session_id) per synthesized session."""
+def _sessions(
+    cfg: RunConfig, max_modes: int, n_streams: int
+) -> Iterator[tuple[str, int, int, plants.SessionJitter, list]]:
+    """Per session: (role, session_id, samples per class, jitter, seed streams).
+
+    Train sessions come first, then test sessions, then the perturbed
+    session if that condition is wanted.  Each session's SeedSequence
+    spawns the jitter stream first, then `n_streams` task streams.
+    """
     layout = [("train", 1.0, i) for i in range(cfg.sessions_train)]
     layout += [
         ("test", 1.0, cfg.sessions_train + i) for i in range(cfg.sessions_test)
@@ -237,116 +241,58 @@ def _session_layout(cfg: RunConfig) -> list[tuple[str, float, int]]:
         layout.append(
             ("perturbed", PERTURBED_JITTER_SCALE, cfg.sessions_train + cfg.sessions_test)
         )
-    return layout
+    train_pc, test_pc = cfg.counts_resolved
+    for (role, scale, sid), sess_ss in zip(
+        layout, np.random.SeedSequence(cfg.seed).spawn(len(layout))
+    ):
+        jit_ss, *streams = sess_ss.spawn(1 + n_streams)
+        jitter = plants.draw_session_jitter(
+            np.random.default_rng(jit_ss), max_modes, scale
+        )
+        yield role, sid, train_pc if role == "train" else test_pc, jitter, streams
 
 
-def _synth_class_bank(
-    cfg: RunConfig, preset: plants.ClassBankPreset, chirp: Waveform
-) -> TaskData:
+def _class_bank_jobs(
+    cfg: RunConfig, preset: plants.ClassBankPreset
+) -> tuple[tuple[str, ...], list[_Job]]:
     names = preset.class_names
-    name_idx = {n: i for i, n in enumerate(names)}
-    snr = preset.noise_snr_db
-    n_bins = len(chirp) // 2 + 1
-    train_pc, test_pc = cfg.counts_resolved
-    layout = _session_layout(cfg)
-
-    builders = {
-        "train": _DatasetBuilder(cfg.sessions_train * len(names) * train_pc, n_bins, True),
-        "test": _DatasetBuilder(cfg.sessions_test * len(names) * test_pc, n_bins, True),
-    }
-    if "perturbed" in cfg.conditions_resolved:
-        builders["perturbed"] = _DatasetBuilder(len(names) * test_pc, n_bins, True)
-
-    for (role, scale, sid), sess_ss in zip(
-        layout, np.random.SeedSequence(cfg.seed).spawn(len(layout))
+    jobs = []
+    for role, sid, n_pc, jitter, class_ss in _sessions(
+        cfg, preset.max_modes, len(names)
     ):
-        jit_ss, *class_ss = sess_ss.spawn(1 + len(names))
-        jitter = plants.draw_session_jitter(
-            np.random.default_rng(jit_ss), preset.max_modes, scale
-        )
-        n_pc = train_pc if role == "train" else test_pc
-        for name, c_ss in zip(names, class_ss):
+        for target, (name, c_ss) in enumerate(zip(names, class_ss)):
             modes = plants.apply_jitter(plants.class_modes(preset, name), jitter)
-            plant = plants.build_plant(modes, snr, {"task": cfg.task, "class": name})
-            clean = modal_response(plant, chirp)
-            seeds = c_ss.generate_state(n_pc)
-            builders[role].add(
-                _noisy_spectra(clean, snr, seeds, chirp.sample_rate),
-                name_idx[name],
-                sid,
+            plant = plants.build_plant(
+                modes, preset.noise_snr_db, {"task": cfg.task, "class": name}
             )
-
-    conditions = {
-        "in_distribution": SplitData(
-            builders["train"].dataset(names, "train"),
-            builders["test"].dataset(names, "test"),
-        )
-    }
-    if "perturbed" in builders:
-        conditions["perturbed"] = SplitData(
-            None, builders["perturbed"].dataset(names, "test")
-        )
-    return TaskData(cfg.task, chirp.sample_rate / len(chirp), names, conditions)
+            jobs.append((role, plant, target, sid, c_ss.generate_state(n_pc)))
+    return names, jobs
 
 
-def _synth_pose(cfg: RunConfig, preset: plants.PosePreset, chirp: Waveform) -> TaskData:
+def _pose_jobs(cfg: RunConfig, preset: plants.PosePreset) -> tuple[None, list[_Job]]:
     angles = preset.train_angles
-    snr = preset.noise_snr_db
-    n_bins = len(chirp) // 2 + 1
-    train_pc, test_pc = cfg.counts_resolved
-    layout = _session_layout(cfg)
     want_interp = "interpolated" in cfg.conditions_resolved
+    jobs = []
 
-    builders = {
-        "train": _DatasetBuilder(
-            cfg.sessions_train * len(angles) * train_pc, n_bins, False
-        ),
-        "test": _DatasetBuilder(cfg.sessions_test * len(angles) * test_pc, n_bins, False),
-    }
-    if want_interp:
-        builders["interpolated"] = _DatasetBuilder(
-            cfg.sessions_test * POSE_INTERP_ANGLES * POSE_INTERP_SAMPLES, n_bins, False
+    def add(role, angle, jitter, sid, seeds):
+        modes = plants.apply_jitter(plants.pose_modes(preset, angle), jitter)
+        plant = plants.build_plant(
+            modes, preset.noise_snr_db, {"task": "pose", "angle": angle}
         )
+        jobs.append((role, plant, angle, sid, seeds))
 
-    for (role, scale, sid), sess_ss in zip(
-        layout, np.random.SeedSequence(cfg.seed).spawn(len(layout))
+    for role, sid, n_pc, jitter, (interp_ss, *angle_ss) in _sessions(
+        cfg, preset.max_modes, 1 + len(angles)
     ):
-        jit_ss, interp_ss, *angle_ss = sess_ss.spawn(2 + len(angles))
-        jitter = plants.draw_session_jitter(
-            np.random.default_rng(jit_ss), preset.max_modes, scale
-        )
-        n_pc = train_pc if role == "train" else test_pc
         for angle, a_ss in zip(angles, angle_ss):
-            modes = plants.apply_jitter(plants.pose_modes(preset, angle), jitter)
-            plant = plants.build_plant(modes, snr, {"task": "pose", "angle": angle})
-            clean = modal_response(plant, chirp)
-            seeds = a_ss.generate_state(n_pc)
-            builders[role].add(
-                _noisy_spectra(clean, snr, seeds, chirp.sample_rate), angle, sid
-            )
+            add(role, angle, jitter, sid, a_ss.generate_state(n_pc))
         if role == "test" and want_interp:
             rng = np.random.default_rng(interp_ss)
             drawn = rng.uniform(angles[0], angles[-1], POSE_INTERP_ANGLES)
             for angle, ia_ss in zip(drawn, interp_ss.spawn(POSE_INTERP_ANGLES)):
-                modes = plants.apply_jitter(plants.pose_modes(preset, angle), jitter)
-                plant = plants.build_plant(modes, snr, {"task": "pose", "angle": angle})
-                clean = modal_response(plant, chirp)
                 seeds = ia_ss.generate_state(POSE_INTERP_SAMPLES)
-                builders["interpolated"].add(
-                    _noisy_spectra(clean, snr, seeds, chirp.sample_rate), angle, sid
-                )
-
-    conditions = {
-        "in_distribution": SplitData(
-            builders["train"].dataset(None, "train"),
-            builders["test"].dataset(None, "test"),
-        )
-    }
-    if want_interp:
-        conditions["interpolated"] = SplitData(
-            None, builders["interpolated"].dataset(None, "test")
-        )
-    return TaskData("pose", chirp.sample_rate / len(chirp), None, conditions)
+                add("interpolated", angle, jitter, sid, seeds)
+    return None, jobs
 
 
 def _contact_trajectory_poses() -> dict[str, list[PoseState]]:
@@ -362,50 +308,27 @@ def _contact_trajectory_poses() -> dict[str, list[PoseState]]:
     return grouped
 
 
-def _synth_contact(
-    cfg: RunConfig, preset: plants.ContactPreset, chirp: Waveform
-) -> TaskData:
+def _contact_jobs(
+    cfg: RunConfig, preset: plants.ContactPreset
+) -> tuple[tuple[str, ...], list[_Job]]:
     names = tuple(sorted(plants.CONTACT_LABELS))
     name_idx = {n: i for i, n in enumerate(names)}
-    snr = preset.noise_snr_db
-    n_bins = len(chirp) // 2 + 1
-    train_pc, test_pc = cfg.counts_resolved
-    layout = _session_layout(cfg)
     conds = cfg.conditions_resolved
     class_poses = _contact_trajectory_poses()
+    jobs = []
 
-    builders = {
-        "train": _DatasetBuilder(cfg.sessions_train * len(names) * train_pc, n_bins, True),
-        "test": _DatasetBuilder(cfg.sessions_test * len(names) * test_pc, n_bins, True),
-    }
-    if "interpolated" in conds:
-        builders["interpolated"] = _DatasetBuilder(
-            cfg.sessions_test * 2 * CONTACT_INTERP_POSES * CONTACT_INTERP_SAMPLES,
-            n_bins,
-            True,
-        )
-    if "out_of_distribution" in conds:
-        builders["out_of_distribution"] = _DatasetBuilder(
-            cfg.sessions_test * CONTACT_OOD_POSES * CONTACT_OOD_SAMPLES, n_bins, True
-        )
-
-    def synth_pose_rows(theta_x, theta_z, jitter, seeds):
+    def add(role, theta_x, theta_z, jitter, sid, seeds):
         modes, label = plants.contact_modes(preset, theta_x, theta_z)
-        modes = plants.apply_jitter(modes, jitter)
         plant = plants.build_plant(
-            modes, snr, {"task": "contact", "contact": label}
+            plants.apply_jitter(modes, jitter),
+            preset.noise_snr_db,
+            {"task": "contact", "contact": label},
         )
-        clean = modal_response(plant, chirp)
-        return _noisy_spectra(clean, snr, seeds, chirp.sample_rate), label
+        jobs.append((role, plant, name_idx[label], sid, seeds))
 
-    for (role, scale, sid), sess_ss in zip(
-        layout, np.random.SeedSequence(cfg.seed).spawn(len(layout))
+    for role, sid, n_pc, jitter, (interp_ss, ood_ss, *class_ss) in _sessions(
+        cfg, preset.max_modes, 2 + len(names)
     ):
-        jit_ss, interp_ss, ood_ss, *class_ss = sess_ss.spawn(3 + len(names))
-        jitter = plants.draw_session_jitter(
-            np.random.default_rng(jit_ss), preset.max_modes, scale
-        )
-        n_pc = train_pc if role == "train" else test_pc
         for name, c_ss in zip(names, class_ss):
             poses = class_poses[name]
             seeds = c_ss.generate_state(n_pc)
@@ -413,40 +336,24 @@ def _synth_contact(
             # synthesis per pose, noise re-seeded per sample.
             for j, p in enumerate(poses):
                 pose_seeds = seeds[j::len(poses)]
-                if pose_seeds.size == 0:
-                    continue
-                rows, label = synth_pose_rows(p.theta_x, p.theta_z, jitter, pose_seeds)
-                builders[role].add(rows, name_idx[label], sid)
+                if pose_seeds.size:
+                    add(role, p.theta_x, p.theta_z, jitter, sid, pose_seeds)
         if role == "test" and "interpolated" in conds:
             rng = np.random.default_rng(interp_ss)
             zs = rng.uniform(45.0, 90.0, CONTACT_INTERP_POSES)
             xs = rng.uniform(45.0, 90.0, CONTACT_INTERP_POSES)
             pose_list = [(45.0, z) for z in zs] + [(x, 90.0) for x in xs]
-            for (tx, tz), p_ss in zip(
-                pose_list, interp_ss.spawn(len(pose_list))
-            ):
+            for (tx, tz), p_ss in zip(pose_list, interp_ss.spawn(len(pose_list))):
                 seeds = p_ss.generate_state(CONTACT_INTERP_SAMPLES)
-                rows, label = synth_pose_rows(tx, tz, jitter, seeds)
-                builders["interpolated"].add(rows, name_idx[label], sid)
+                add("interpolated", tx, tz, jitter, sid, seeds)
         if role == "test" and "out_of_distribution" in conds:
             rng = np.random.default_rng(ood_ss)
             xs = rng.uniform(*CONTACT_OOD_X_RANGE, CONTACT_OOD_POSES)
             zs = rng.uniform(*CONTACT_OOD_Z_RANGE, CONTACT_OOD_POSES)
             for (tx, tz), p_ss in zip(zip(xs, zs), ood_ss.spawn(CONTACT_OOD_POSES)):
                 seeds = p_ss.generate_state(CONTACT_OOD_SAMPLES)
-                rows, label = synth_pose_rows(tx, tz, jitter, seeds)
-                builders["out_of_distribution"].add(rows, name_idx[label], sid)
-
-    conditions = {
-        "in_distribution": SplitData(
-            builders["train"].dataset(names, "train"),
-            builders["test"].dataset(names, "test"),
-        )
-    }
-    for cond in ("interpolated", "out_of_distribution"):
-        if cond in builders:
-            conditions[cond] = SplitData(None, builders[cond].dataset(names, "test"))
-    return TaskData("contact", chirp.sample_rate / len(chirp), names, conditions)
+                add("out_of_distribution", tx, tz, jitter, sid, seeds)
+    return names, jobs
 
 
 def synth_task_data(cfg: RunConfig) -> TaskData:
@@ -456,12 +363,37 @@ def synth_task_data(cfg: RunConfig) -> TaskData:
         raise ParameterError(
             f"preset is for task {preset.task!r}, config wants {cfg.task!r}"
         )
-    chirp = generate_chirp(default_chirp_spec())
     if isinstance(preset, plants.ClassBankPreset):
-        return _synth_class_bank(cfg, preset, chirp)
-    if isinstance(preset, plants.PosePreset):
-        return _synth_pose(cfg, preset, chirp)
-    return _synth_contact(cfg, preset, chirp)
+        names, jobs = _class_bank_jobs(cfg, preset)
+    elif isinstance(preset, plants.PosePreset):
+        names, jobs = _pose_jobs(cfg, preset)
+    else:
+        names, jobs = _contact_jobs(cfg, preset)
+
+    chirp = generate_chirp(default_chirp_spec())
+    n_rows: dict[str, int] = {}
+    for role, _, _, _, seeds in jobs:
+        n_rows[role] = n_rows.get(role, 0) + seeds.size
+    builders = {
+        role: _DatasetBuilder(n, len(chirp) // 2 + 1, names is not None)
+        for role, n in n_rows.items()
+    }
+    clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
+    for (role, plant, target, sid, seeds), response in zip(jobs, clean):
+        for s in seeds:
+            noisy = apply_noise(response, plant.noise_snr_db, int(s))
+            spectrum = fft_magnitude(Waveform(noisy, chirp.sample_rate))
+            builders[role].add(spectrum.magnitudes, target, sid)
+
+    conditions = {
+        "in_distribution": SplitData(
+            builders.pop("train").dataset(names, "train"),
+            builders.pop("test").dataset(names, "test"),
+        )
+    }
+    for cond, builder in builders.items():
+        conditions[cond] = SplitData(None, builder.dataset(names, "test"))
+    return TaskData(cfg.task, chirp.sample_rate / len(chirp), names, conditions)
 
 
 def band_slice_for(bin_hz: float, n_bins: int, band: str) -> slice:

@@ -3,8 +3,10 @@
 The plant stands in for a physical gripper/object system: each object
 configuration is modeled as a small bank of second-order resonant modes
 driven by the excitation sweep, plus additive white Gaussian noise at a
-configured SNR.  Everything here is a pure function of its inputs
-(including the noise seed), so calls are safe from any thread.
+configured SNR.  modal_response filters one plant or a whole batch of
+plants in one lockstep pass, in numpy alone.  Everything here is a pure
+function of its inputs (including the noise seed), so calls are safe
+from any thread.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -167,23 +170,73 @@ def _resonator_coeffs(
     return b * (gain / h0), a
 
 
-def modal_response(plant: ModalPlant, excitation: Waveform) -> np.ndarray:
-    """Noise-free plant output: the excitation through each mode, summed."""
-    # Imported here, not at module top: scipy.signal is most of the
-    # package's import time, and only synthesis needs it.
-    from scipy.signal import lfilter
+# Samples per block: the b*x products, the mode outputs and their sums
+# are buffered one block at a time.
+_BLOCK = 64
 
-    nyquist = excitation.sample_rate / 2
-    for f, _, _ in plant.modes:
-        if f >= nyquist:
-            raise ParameterError(
-                f"mode frequency {f} Hz is at or above Nyquist ({nyquist} Hz)"
-            )
-    out = np.zeros(len(excitation))
-    for f, z, g in plant.modes:
-        b, a = _resonator_coeffs(f, z, g, excitation.sample_rate)
-        out += lfilter(b, a, excitation.samples)
-    return out
+
+def modal_response(
+    plants: ModalPlant | Sequence[ModalPlant], excitation: Waveform
+) -> np.ndarray:
+    """Noise-free plant output: the excitation through each mode, summed.
+
+    One plant gives a 1-D response; a sequence of plants gives one row
+    per plant.  Every mode of every plant runs in lockstep through the
+    direct-form-II-transposed recursion in lfilter's operation order,
+    and modes are summed in order, so each row is bit-identical to
+    summing `scipy.signal.lfilter` over the plant's modes.
+    """
+    single = isinstance(plants, ModalPlant)
+    batch = (plants,) if single else tuple(plants)
+    if not batch:
+        raise ParameterError("modal_response needs at least one plant")
+    fs = excitation.sample_rate
+    for plant in batch:
+        for f, _, _ in plant.modes:
+            if f >= fs / 2:
+                raise ParameterError(
+                    f"mode frequency {f} Hz is at or above Nyquist ({fs / 2} Hz)"
+                )
+    # Coefficients as (tap, mode, plant).  Plants with fewer modes are
+    # padded with b = a = 0 modes; their output is a zero, and a sum
+    # that starts at +0.0 is unchanged by adding zeros of either sign.
+    n_modes = max(len(p.modes) for p in batch)
+    b = np.zeros((3, n_modes, len(batch)))
+    a = np.zeros((3, n_modes, len(batch)))
+    for j, plant in enumerate(batch):
+        for m, mode in enumerate(plant.modes):
+            b[:, m, j], a[:, m, j] = _resonator_coeffs(*mode, fs)
+    # state[0:2] are the delays z0, z1; state[2] stays -0.0, the exact
+    # additive identity, so one add forms (z1 + b1*x, b2*x) per sample.
+    state = np.zeros((3, n_modes, len(batch)))
+    state[2] = -0.0
+    z0, z1_pad, delays, a12 = state[0], state[1:], state[:2], a[1:]
+    ay = np.empty((2, n_modes, len(batch)))
+    pending = np.empty((2, n_modes, len(batch)))
+    # Block buffers, allocated once.
+    bx0 = np.empty((_BLOCK, n_modes, len(batch)))
+    bx12 = np.empty((_BLOCK, 2, n_modes, len(batch)))
+    y = np.empty((_BLOCK, n_modes, len(batch)))
+    total = np.empty((_BLOCK, len(batch)))
+    out = np.empty((len(batch), len(excitation)))
+    x = excitation.samples
+    for start in range(0, x.size, _BLOCK):
+        xb = x[start : start + _BLOCK, None, None]
+        n = xb.shape[0]
+        np.multiply(b[0], xb, out=bx0[:n])
+        np.multiply(b[1:], xb[:, None], out=bx12[:n])
+        for yk, bx0k, bx12k in zip(y[:n], bx0, bx12):
+            np.add(z0, bx0k, out=yk)  # y = z0 + b0*x
+            np.multiply(a12, yk, out=ay)  # (a1*y, a2*y)
+            np.add(z1_pad, bx12k, out=pending)  # (z1 + b1*x, b2*x)
+            np.subtract(pending, ay, out=delays)
+        # Modes summed in order into a zeroed total, as a loop of
+        # `out += lfilter(...)` over a zeroed output does.
+        total[:n] = 0.0
+        for m in range(n_modes):
+            total[:n] += y[:n, m]
+        out[:, start : start + n] = total[:n].T
+    return out[0] if single else out
 
 
 def noise_std_for_snr(clean: np.ndarray, snr_db: float) -> float:

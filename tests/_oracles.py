@@ -164,3 +164,16 @@ def subsampled_relative_gradient_error(
                 err = abs(fd - gflat[idx]) / max(1e-8, abs(fd) + abs(gflat[idx]))
                 worst = max(worst, err)
     return worst
+
+
+def df2t_second_order(b, a, samples):
+    """lfilter's direct-form-II-transposed recursion for one section with
+    a[0] == 1, one sample at a time and in lfilter's operation order."""
+    z0 = z1 = 0.0
+    out = np.empty(len(samples))
+    for n, x in enumerate(samples):
+        y = z0 + b[0] * x
+        z0 = (z1 + b[1] * x) - a[1] * y
+        z1 = b[2] * x - a[2] * y
+        out[n] = y
+    return out

@@ -301,11 +301,13 @@ def test_out_flag_beats_environment(tmp_path, monkeypatch, capsys):
 
 
 def test_sim_commands_start_without_scipy(tmp_path):
-    """Only synthesis filters a signal, so only it may load scipy."""
+    """The runtime is numpy only: neither sim nor synthesis loads scipy."""
     probe = (
         "import sys\n"
         "from vcas.cli import main\n"
         "rc = main(['sim', 'demos', '--episodes', '2', '--out', sys.argv[1]])\n"
+        "rc += main(['synth-data', '--task', 'grasp', '--set', 'train_per_class=1',"
+        " '--set', 'test_per_class=1', '--out', sys.argv[1]])\n"
         "print(rc, sorted(m for m in sys.modules"
         " if m == 'scipy' or m.startswith('scipy.')))\n"
     )

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,3 +106,29 @@ def test_expect_kind_mismatch(tmp_path):
     )
     with pytest.raises(DataError):
         read_container(path, expect_kind=PayloadKind.POLICY_MODEL)
+
+
+@pytest.mark.parametrize("fail_at", ["write_bytes", "replace"])
+def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "x.vcas"
+    write_container(path, PayloadKind.DATASET, {"x": np.ones(3)}, {"v": 1})
+    before = path.read_bytes()
+
+    def write_half_then_fail(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def refuse_replace(src, dst):
+        raise OSError("rename refused")
+
+    if fail_at == "write_bytes":
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    else:
+        monkeypatch.setattr(os, "replace", refuse_replace)
+    with pytest.raises(OSError):
+        write_container(path, PayloadKind.DATASET, {"x": np.zeros(500)}, {"v": 2})
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.vcas"]

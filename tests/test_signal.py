@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    df2t_second_order,
     one_sided_energy,
     time_domain_energy,
     zero_crossing_frequencies,
@@ -21,6 +22,7 @@ from vcas.signal import (
     modal_response,
     noise_std_for_snr,
     synth_response,
+    _resonator_coeffs,
     write_waveform_csv,
 )
 
@@ -110,6 +112,73 @@ def test_mode_frequency_must_be_below_nyquist():
     chirp = generate_chirp(default_chirp_spec())
     with pytest.raises(ParameterError):
         modal_response(_single_mode_plant(23000.0), chirp)
+
+
+# Plants with different mode counts, one with a zero-gain mode.
+_BATCH = (
+    ModalPlant(modes=((800.0, 0.02, 1.0), (5000.0, 0.01, 0.4), (12000.0, 0.005, 2.0))),
+    ModalPlant(modes=((300.0, 0.3, 0.7),)),
+    ModalPlant(modes=((19800.0, 0.001, 1.5), (2500.0, 0.05, 0.0))),
+)
+
+
+def _short_chirp(n=300):
+    # Longer than one filter block, with a partial last block.
+    chirp = generate_chirp(default_chirp_spec())
+    return Waveform(chirp.samples[:n], chirp.sample_rate)
+
+
+def _oracle_response(plant, excitation):
+    out = np.zeros(len(excitation))
+    for f, z, g in plant.modes:
+        b, a = _resonator_coeffs(f, z, g, excitation.sample_rate)
+        out += df2t_second_order(b, a, excitation.samples)
+    return out
+
+
+def test_batched_modal_response_matches_df2t_oracle_bitwise():
+    x = _short_chirp()
+    got = modal_response(list(_BATCH), x)
+    assert got.shape == (len(_BATCH), len(x))
+    for row, plant in zip(got, _BATCH):
+        assert row.tobytes() == _oracle_response(plant, x).tobytes()
+
+
+def test_batched_rows_equal_single_plant_calls():
+    x = _short_chirp()
+    got = modal_response(_BATCH, x)
+    for row, plant in zip(got, _BATCH):
+        single = modal_response(plant, x)
+        assert single.shape == (len(x),)
+        assert row.tobytes() == single.tobytes()
+    one = modal_response([_BATCH[0]], x)
+    assert one.shape == (1, len(x))
+    assert one[0].tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("freq", [22050.0, 23000.0])
+def test_batch_with_last_plant_at_or_above_nyquist_rejected(freq):
+    with pytest.raises(ParameterError, match="Nyquist"):
+        modal_response([*_BATCH, _single_mode_plant(freq)], _short_chirp())
+
+
+def test_empty_batch_rejected():
+    with pytest.raises(ParameterError):
+        modal_response([], _short_chirp())
+
+
+def test_modal_response_agrees_with_scipy_lfilter():
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    chirp = generate_chirp(default_chirp_spec())
+    got = modal_response(_BATCH, chirp)
+    for row, plant in zip(got, _BATCH):
+        want = np.zeros(len(chirp))
+        for f, z, g in plant.modes:
+            b, a = _resonator_coeffs(f, z, g, chirp.sample_rate)
+            want += lfilter(b, a, chirp.samples)
+        np.testing.assert_allclose(
+            row, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
 
 
 def test_degenerate_mode_parameters_rejected():
