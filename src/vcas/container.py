@@ -37,8 +37,8 @@ FORMAT_VERSION = 1
 
 
 class PayloadKind(enum.IntEnum):
-    WAVEFORM = 1
-    SPECTRUM = 2
+    # Tags 1 and 2 belonged to retired waveform/spectrum payloads; they
+    # stay unassigned so such files read as an unknown kind.
     DATASET = 3
     KPCA_MODEL = 4
     MLP_MODEL = 5

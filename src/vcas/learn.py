@@ -3,9 +3,12 @@
 Networks are fixed at three rectifier hidden layers (400, 250, 100)
 with a softmax head for classification or an identity head for
 regression.  Training is minibatch adaptive-moment descent with early
-stopping on a held-out tenth of the training rows.  Everything is
-seeded and deterministic: identical data and config reproduce the
-parameters and history bit for bit, regardless of input row order.
+stopping on a held-out tenth of the distinct training pairs: repeated
+(row, target) pairs collapse into one row weighted by its count, so a
+duplicate costs no extra work and never lands on both sides of the
+validation split.  Everything is seeded and deterministic: identical
+data and config reproduce the parameters and history bit for bit,
+regardless of input row order.
 """
 
 from __future__ import annotations
@@ -247,8 +250,10 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _prepare_batch(
-    model: MlpModel, batch: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+    model: MlpModel,
+    batch: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != model.in_dim:
@@ -263,33 +268,51 @@ def _prepare_batch(
             y = y[:, None]
         if y.shape != (x.shape[0], model.out_dim):
             raise ParameterError("regression targets must match output width")
-    return x, y
+    if weights is None:
+        w = np.ones(x.shape[0])
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (x.shape[0],) or not (np.isfinite(w).all() and (w > 0).all()):
+            raise ParameterError("weights must be one positive finite value per row")
+    return x, y, w
 
 
-def mlp_loss(model: MlpModel, batch: tuple[np.ndarray, np.ndarray]) -> float:
-    """Mean cross-entropy (softmax head) or mean squared error (identity)."""
-    x, y = _prepare_batch(model, batch)
+def mlp_loss(
+    model: MlpModel,
+    batch: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray | None = None,
+) -> float:
+    """Weighted mean cross-entropy (softmax head) or squared error (identity).
+
+    `weights` counts each row that many times (all ones when omitted),
+    so weighting a row by k equals repeating it k times.
+    """
+    x, y, w = _prepare_batch(model, batch, weights)
     _, z = _forward_trace(model, x)
     if model.head == "softmax":
         logp = z - z.max(axis=1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-        return float(-logp[np.arange(x.shape[0]), y].mean())
-    return float(np.mean((z - y) ** 2))
+        return float(-(logp[np.arange(x.shape[0]), y] * w).sum() / w.sum())
+    return float(((z - y) ** 2 * w[:, None]).sum() / (w.sum() * model.out_dim))
 
 
 def mlp_grad(
-    model: MlpModel, batch: tuple[np.ndarray, np.ndarray]
+    model: MlpModel,
+    batch: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact mean-loss gradients per layer, as (dW, db) pairs."""
-    x, y = _prepare_batch(model, batch)
-    n = x.shape[0]
+    """Exact gradients of `mlp_loss` per layer, as (dW, db) pairs."""
+    x, y, w = _prepare_batch(model, batch, weights)
     acts, z = _forward_trace(model, x)
     if model.head == "softmax":
         g = _softmax(z)
-        g[np.arange(n), y] -= 1.0
-        g /= n
+        g[np.arange(x.shape[0]), y] -= 1.0
+        g *= w[:, None]
+        g /= w.sum()
     else:
-        g = 2.0 * (z - y) / (n * model.out_dim)
+        g = 2.0 * (z - y)
+        g *= w[:, None]
+        g /= w.sum() * model.out_dim
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.weights)
     for i in range(len(model.weights) - 1, -1, -1):
         grads[i] = (acts[i].T @ g, g.sum(axis=0))
@@ -320,6 +343,20 @@ def _canonical_order(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _collapse_duplicates(
+    rows: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge each run of identical (row, target) pairs into one counted row.
+
+    Expects canonical order, which puts equal pairs next to each other.
+    Returns the distinct rows, their targets and float repeat counts.
+    """
+    same = (rows[1:] == rows[:-1]).all(axis=1) & (targets[1:] == targets[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(np.append(starts, rows.shape[0])).astype(np.float64)
+    return rows[starts], targets[starts], counts
+
+
 def _split_indices(
     targets: np.ndarray,
     classification: bool,
@@ -347,10 +384,14 @@ def _split_indices(
 def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistory]:
     """Train an estimator on `data` with early stopping.
 
-    A tenth of the rows (by default) is held out as a validation slice;
-    the parameters returned are the best seen on it.  Classification
-    needs at least two classes present; regression targets are scaled
-    to [0, 1] internally and the scale stored on the model.
+    Identical (row, target) pairs collapse into one row weighted by
+    its count; every loss and gradient is the count-weighted mean, so
+    the full-batch loss equals the one over the repeated rows.  A tenth
+    (`validation_fraction`) of the distinct pairs is held out as a
+    validation slice; the parameters returned are the best seen on it.
+    Classification needs at least two classes present; regression
+    targets are scaled to [0, 1] internally and the scale stored on the
+    model.
     """
     if len(data) == 0:
         raise ParameterError("training data is empty")
@@ -375,8 +416,7 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
         scale = (lo, hi)
 
     order = _canonical_order(data.rows, targets)
-    rows = data.rows[order]
-    targets = targets[order]
+    rows, targets, counts = _collapse_duplicates(data.rows[order], targets[order])
 
     init_ss, split_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     model = mlp_init(
@@ -392,8 +432,8 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
         cfg.validation_fraction,
         np.random.default_rng(split_ss),
     )
-    x_train, y_train = rows[train_idx], targets[train_idx]
-    x_val, y_val = rows[val_idx], targets[val_idx]
+    x_train, y_train, w_train = rows[train_idx], targets[train_idx], counts[train_idx]
+    x_val, y_val, w_val = rows[val_idx], targets[val_idx], counts[val_idx]
     monitor_val = x_val.shape[0] > 0
 
     batch_rng = np.random.default_rng(batch_ss)
@@ -419,7 +459,7 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
         perm = batch_rng.permutation(x_train.shape[0])
         for lo_i in range(0, perm.size, cfg.batch_size):
             sel = perm[lo_i : lo_i + cfg.batch_size]
-            grads = mlp_grad(model, (x_train[sel], y_train[sel]))
+            grads = mlp_grad(model, (x_train[sel], y_train[sel]), w_train[sel])
             step += 1
             c1 = 1.0 - _ADAM_BETA1**step
             c2 = 1.0 - _ADAM_BETA2**step
@@ -437,10 +477,12 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
                     np.sqrt(vb / c2) + _ADAM_EPS
                 )
 
-        train_loss = mlp_loss(model, (x_train, y_train))
+        train_loss = mlp_loss(model, (x_train, y_train), w_train)
         if not math.isfinite(train_loss):
             raise NumericalError(f"training loss became {train_loss} at epoch {epoch}")
-        monitored = mlp_loss(model, (x_val, y_val)) if monitor_val else train_loss
+        monitored = (
+            mlp_loss(model, (x_val, y_val), w_val) if monitor_val else train_loss
+        )
         train_curve.append(train_loss)
         val_curve.append(monitored)
 

@@ -95,7 +95,9 @@ def policy_train(
     """Fit the action distribution to expert demo pairs.
 
     Mean negative log-likelihood of the expert action given the window
-    (cross-entropy), early-stopped on a held-out tenth of the pairs.
+    (cross-entropy), early-stopped on a held-out tenth of the distinct
+    (window, action) pairs.  Repeated pairs train once, weighted by
+    their count (see `mlp_train`).
     """
     if not demos:
         raise ParameterError("demo set is empty")
@@ -115,6 +117,24 @@ def policy_train(
     return PolicyModel(net, window_length), history
 
 
+def _action_probs(model: PolicyModel, window: Window) -> np.ndarray:
+    if len(window) != model.window_length:
+        raise ParameterError(
+            f"window length {len(window)} != model window {model.window_length}"
+        )
+    return mlp_forward(model.net, encode_window(window))
+
+
+def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Action:
+    if mode == "greedy":
+        return Action.ROT_Z if probs[1] >= probs[0] else Action.ROT_X
+    if mode == "sample":
+        if rng is None:
+            raise ParameterError("sample mode needs an rng")
+        return Action.ROT_Z if rng.random() < probs[1] else Action.ROT_X
+    raise ParameterError(f"unknown mode {mode!r}; use greedy or sample")
+
+
 def policy_act(
     model: PolicyModel,
     window: Window,
@@ -126,25 +146,25 @@ def policy_act(
     Greedy takes the argmax with ties going to rot_z (the expert's
     first phase); sample draws from the distribution.
     """
-    if len(window) != model.window_length:
-        raise ParameterError(
-            f"window length {len(window)} != model window {model.window_length}"
-        )
-    probs = mlp_forward(model.net, encode_window(window))
-    if mode == "greedy":
-        return Action.ROT_Z if probs[1] >= probs[0] else Action.ROT_X
-    if mode == "sample":
-        if rng is None:
-            raise ParameterError("sample mode needs an rng")
-        return Action.ROT_Z if rng.random() < probs[1] else Action.ROT_X
-    raise ParameterError(f"unknown mode {mode!r}; use greedy or sample")
+    return _choose(_action_probs(model, window), mode, rng)
 
 
 def as_rollout_policy(model: PolicyModel, mode: str = "greedy") -> RolloutPolicy:
-    """Adapt a PolicyModel to the (pose, window, rng) rollout signature."""
+    """Adapt a PolicyModel to the (pose, window, rng) rollout signature.
+
+    The returned callable remembers the action distribution of every
+    window it has seen, so each distinct window is encoded and run
+    through the network once.  The choice itself is made afresh on
+    every step (sample mode still draws from `rng` each time), so the
+    actions are exactly those of calling `policy_act` per step.
+    """
+    memo: dict[Window, np.ndarray] = {}
 
     def _policy(pose: PoseState, window: Window, rng: np.random.Generator) -> Action:
-        return policy_act(model, window, mode=mode, rng=rng)
+        probs = memo.get(window)
+        if probs is None:
+            probs = memo[window] = _action_probs(model, window)
+        return _choose(probs, mode, rng)
 
     return _policy
 

@@ -40,7 +40,7 @@ def test_round_trip_random_arrays(tmp_path_factory, shape, seed):
     rng = np.random.default_rng(seed)
     arr = rng.normal(size=tuple(shape))
     path = tmp_path_factory.mktemp("rt") / "x.vcas"
-    write_container(path, PayloadKind.WAVEFORM, {"x": arr}, {"seed": seed})
+    write_container(path, PayloadKind.DATASET, {"x": arr}, {"seed": seed})
     _, arrays, meta = read_container(path)
     assert arrays["x"].tobytes() == arr.tobytes()
     assert meta == {"seed": seed}
@@ -56,7 +56,7 @@ def test_write_is_deterministic(tmp_path):
 
 def test_corrupted_magic_rejected_before_payload(tmp_path):
     path = write_container(
-        tmp_path / "x.vcas", PayloadKind.SPECTRUM, {"m": np.ones(4)}, {}
+        tmp_path / "x.vcas", PayloadKind.DATASET, {"m": np.ones(4)}, {}
     )
     raw = bytearray(path.read_bytes())
     raw[0] = ord("X")
@@ -69,7 +69,7 @@ def test_corrupted_magic_rejected_before_payload(tmp_path):
 
 def test_unknown_version_rejected(tmp_path):
     path = write_container(
-        tmp_path / "x.vcas", PayloadKind.SPECTRUM, {"m": np.ones(4)}, {}
+        tmp_path / "x.vcas", PayloadKind.KPCA_MODEL, {"m": np.ones(4)}, {}
     )
     raw = bytearray(path.read_bytes())
     raw[4:6] = (99).to_bytes(2, "little")
@@ -102,10 +102,22 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_expect_kind_mismatch(tmp_path):
     path = write_container(
-        tmp_path / "x.vcas", PayloadKind.WAVEFORM, {"x": np.ones(2)}, {}
+        tmp_path / "x.vcas", PayloadKind.MLP_MODEL, {"x": np.ones(2)}, {}
     )
     with pytest.raises(DataError):
         read_container(path, expect_kind=PayloadKind.POLICY_MODEL)
+
+
+def test_unknown_payload_kind_rejected(tmp_path):
+    path = write_container(
+        tmp_path / "x.vcas", PayloadKind.DATASET, {"x": np.ones(2)}, {}
+    )
+    raw = bytearray(path.read_bytes())
+    raw[6:8] = (1).to_bytes(2, "little")  # the retired waveform tag
+    bad = tmp_path / "bad.vcas"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="unknown payload kind 1"):
+        read_container(bad)
 
 
 @pytest.mark.parametrize("fail_at", ["write_bytes", "replace"])

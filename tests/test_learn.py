@@ -3,6 +3,7 @@ import pytest
 
 import vcas.learn as learn
 from _oracles import finite_difference_gradients
+from vcas.envsim import ObservationModel, generate_demos
 from vcas.errors import DegenerateInputError, NumericalError, ParameterError
 from vcas.learn import (
     ConfusionMatrix,
@@ -24,6 +25,7 @@ from vcas.learn import (
     write_confusion_csv,
     write_regression_csv,
 )
+from vcas.policy import policy_train
 
 
 def small_model(seed, head, dims=(4, 6, 5, 3)):
@@ -168,6 +170,46 @@ def test_gradient_of_duplicated_batch_is_unchanged():
     assert mlp_loss(model, (x, y)) == pytest.approx(
         mlp_loss(model, (np.tile(x, (2, 1)), np.tile(y, 2))), abs=1e-12
     )
+    # Unit weights take the same arithmetic path as no weights, bit for bit.
+    ones = np.ones(6)
+    assert mlp_loss(model, (x, y), ones) == mlp_loss(model, (x, y))
+    for (aw, ab), (bw, bb) in zip(single, mlp_grad(model, (x, y), ones)):
+        assert aw.tobytes() == bw.tobytes()
+        assert ab.tobytes() == bb.tobytes()
+    # A weight of 2 counts a row twice, like the tiled batch.
+    twos = np.full(6, 2.0)
+    for (aw, ab), (bw, bb) in zip(doubled, mlp_grad(model, (x, y), twos)):
+        assert np.allclose(aw, bw, rtol=0, atol=1e-12)
+        assert np.allclose(ab, bb, rtol=0, atol=1e-12)
+    assert mlp_loss(model, (x, y), twos) == pytest.approx(
+        mlp_loss(model, (np.tile(x, (2, 1)), np.tile(y, 2))), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("head", ["softmax", "identity"])
+def test_weighted_loss_and_gradient_match_repeated_rows(head):
+    model = small_model(4, head)
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(5, 4))
+    y = rng.integers(0, 3, size=5) if head == "softmax" else rng.normal(size=5)
+    counts = np.array([1, 3, 2, 1, 4])
+    repeated = (np.repeat(x, counts, axis=0), np.repeat(y, counts))
+    weighted = mlp_grad(model, (x, y), counts.astype(float))
+    for (aw, ab), (bw, bb) in zip(weighted, mlp_grad(model, repeated)):
+        assert np.allclose(aw, bw, rtol=0, atol=1e-12)
+        assert np.allclose(ab, bb, rtol=0, atol=1e-12)
+    assert mlp_loss(model, (x, y), counts) == pytest.approx(
+        mlp_loss(model, repeated), abs=1e-12
+    )
+
+
+def test_weights_must_be_positive_one_per_row():
+    model = small_model(0, "softmax")
+    x = np.zeros((3, 4))
+    y = np.array([0, 1, 2])
+    for bad in (np.ones(2), np.array([1.0, 0.0, 1.0]), np.array([1.0, np.inf, 1.0])):
+        with pytest.raises(ParameterError, match="weights"):
+            mlp_loss(model, (x, y), bad)
 
 
 def test_uniform_model_balanced_labels_zero_output_bias_gradient():
@@ -211,6 +253,58 @@ def test_train_row_order_cannot_matter():
     assert h1 == h2
     assert all(a.tobytes() == b.tobytes() for a, b in zip(m1.weights, m2.weights))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(m1.biases, m2.biases))
+
+
+def test_train_on_duplicated_rows_equals_train_on_distinct_rows():
+    data = blobs(6, seed=13)
+    doubled = Dataset(
+        np.tile(data.rows, (2, 1)), np.tile(data.targets, 2), data.label_names
+    )
+    cfg = TrainConfig(max_epochs=6, batch_size=4, seed=2)
+    m1, h1 = mlp_train(data, cfg)
+    m2, h2 = mlp_train(doubled, cfg)
+    assert h1 == h2
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(m1.weights, m2.weights))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(m1.biases, m2.biases))
+
+
+def test_train_loss_counts_every_repeated_row():
+    data = blobs(5, seed=14, spread=2.0)
+    counts = np.arange(1, len(data) + 1)
+    repeated = Dataset(
+        np.repeat(data.rows, counts, axis=0), np.repeat(data.targets, counts),
+        data.label_names,
+    )
+    cfg = TrainConfig(max_epochs=1, validation_fraction=0.0, seed=1)
+    model, history = mlp_train(repeated, cfg)
+    assert history.train_loss[0] == pytest.approx(
+        mlp_loss(model, (repeated.rows, repeated.targets)), rel=1e-12
+    )
+    assert history.train_loss[0] != pytest.approx(
+        mlp_loss(model, (data.rows, data.targets)), rel=1e-6
+    )
+
+
+def test_validation_pairs_never_repeat_training_pairs(monkeypatch):
+    seen = []
+    real_loss = learn.mlp_loss
+
+    def recording_loss(model, batch, *weights):
+        seen.append(batch)
+        return real_loss(model, batch, *weights)
+
+    monkeypatch.setattr(learn, "mlp_loss", recording_loss)
+    demos = generate_demos(200, "interpolated", ObservationModel.identity(), seed=0)
+    policy_train(demos, TrainConfig(max_epochs=1, seed=0))
+    # One epoch scores the training slice, then the validation slice.
+    (x_train, y_train), (x_val, y_val) = seen
+
+    def pairs(x, y):
+        return {(row.tobytes(), int(t)) for row, t in zip(x, y)}
+
+    shared = pairs(x_train, y_train) & pairs(x_val, y_val)
+    assert len(y_val) > 0
+    assert not shared, f"{len(shared)} validation pairs are also training pairs"
 
 
 def test_full_batch_loss_monotone_on_convex_slice(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import vcas.policy as policy_mod
 from vcas.envsim import (
     Action,
     ContactType,
@@ -50,6 +51,16 @@ def biased_policy(bias, window_length=2):
     net = MlpModel(
         [np.zeros((in_dim, 2))], [np.asarray(bias, dtype=float)], "softmax",
         label_names=("rot_x", "rot_z"),
+    )
+    return PolicyModel(net, window_length)
+
+
+def random_policy(seed, window_length=10):
+    """Untrained net whose actions vary with the window."""
+    rng = np.random.default_rng(seed)
+    net = MlpModel(
+        [rng.normal(size=(TOKEN_COUNT * window_length, 2))], [np.zeros(2)],
+        "softmax", label_names=("rot_x", "rot_z"),
     )
     return PolicyModel(net, window_length)
 
@@ -208,6 +219,39 @@ def test_policy_eval_trained_model_on_fixed_start(trained):
     report = policy_eval(model, "fixed", 30, IDENTITY, seed=4)
     assert report.success_rate == 1.0
     assert report.mean_length == 20.0
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_memoised_rollout_policy_matches_per_step_policy_act(mode):
+    model = random_policy(5)
+
+    def per_step(pose, window, rng):
+        return policy_act(model, window, mode=mode, rng=rng)
+
+    m = ObservationModel.default()
+    for regime in ("fixed", "out_of_distribution"):
+        memo = policy_eval(model, regime, 40, m, seed=7, mode=mode)
+        plain = policy_eval(per_step, regime, 40, m, seed=7)
+        assert memo.failures  # episodes are compared, not just rates
+        assert eval_report_to_dict(memo) == eval_report_to_dict(plain)
+
+
+def test_rollout_policy_runs_the_net_once_per_distinct_window(monkeypatch):
+    inputs = []
+    real_forward = policy_mod.mlp_forward
+
+    def counting_forward(net, x):
+        inputs.append(x.tobytes())
+        return real_forward(net, x)
+
+    monkeypatch.setattr(policy_mod, "mlp_forward", counting_forward)
+    model = random_policy(3)
+    report = policy_eval(
+        model, "out_of_distribution", 30, ObservationModel.default(), seed=2,
+        mode="sample",
+    )
+    assert len(inputs) == len(set(inputs))
+    assert len(inputs) < report.mean_length * report.n_episodes
 
 
 def test_policy_eval_deterministic_by_seed():
