@@ -267,8 +267,16 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         }
     )
     return [
-        save_kpca(models.kpca, mdir / f"kpca_{cfg.band}.vcas"),
-        save_mlp(models.mlp, mdir / f"mlp_{cfg.band}.vcas"),
+        save_kpca(
+            models.kpca,
+            mdir / f"kpca_{cfg.band}.vcas",
+            {"train_sessions": list(models.train_sessions)},
+        ),
+        save_mlp(
+            models.mlp,
+            mdir / f"mlp_{cfg.band}.vcas",
+            {"fit_id": models.kpca.fit_id},
+        ),
         write_evr_csv(models.kpca, mdir / f"evr_{cfg.band}.csv"),
         write_json(history, mdir / f"history_{cfg.band}.json"),
     ]
@@ -282,24 +290,22 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     for p in (kpca_path, mlp_path):
         if not p.exists():
             raise DataError(f"no model at {p}; run train first")
-    kpca = load_kpca(kpca_path)
-    mlp = load_mlp(mlp_path)
-    if mlp.in_dim != kpca.n_components:
+    kpca, kpca_meta = load_kpca(kpca_path)
+    mlp, mlp_meta = load_mlp(mlp_path)
+    if mlp_meta.get("fit_id") != kpca_meta.get("fit_id"):
         raise DataError(
-            f"{mlp_path} takes {mlp.in_dim} inputs but {kpca_path} gives "
-            f"{kpca.n_components} components; the two files come from "
-            "different train runs"
+            f"{mlp_path} was trained on kPCA fit {mlp_meta.get('fit_id')} but "
+            f"{kpca_path} holds fit {kpca_meta.get('fit_id')}; the two files "
+            "come from different train runs"
         )
+    if "train_sessions" not in kpca_meta:
+        raise DataError(f"{kpca_path} lists no training sessions; rerun train")
 
+    # The test files carry the bin width and label names; the training
+    # sessions come from the kPCA metadata, so the train file is not read.
     conditions: dict[str, SplitData] = {}
     bin_hz = None
     label_names = None
-    train_path = dataset_path(out_dir, cfg.task, "in_distribution", "train")
-    train_ds = None
-    if train_path.exists():
-        train_ds, meta = read_dataset(train_path)
-        bin_hz = float(meta["bin_hz"])
-        label_names = train_ds.label_names
     for cond in cfg.conditions_resolved:
         test_path = dataset_path(out_dir, cfg.task, cond, "test")
         if not test_path.exists():
@@ -311,12 +317,17 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         test_ds, meta = read_dataset(test_path)
         bin_hz = float(meta["bin_hz"])
         label_names = test_ds.label_names
-        conditions[cond] = SplitData(
-            train=train_ds if cond == "in_distribution" else None, test=test_ds
-        )
+        conditions[cond] = SplitData(test=test_ds)
 
     data = TaskData(cfg.task, bin_hz, label_names, conditions)
-    models = TaskModels(cfg.task, cfg.band, kpca.n_components, kpca, mlp)
+    models = TaskModels(
+        cfg.task,
+        cfg.band,
+        kpca.n_components,
+        kpca,
+        mlp,
+        tuple(kpca_meta["train_sessions"]),
+    )
     ev = eval_task(models, data)
 
     edir = Path(out_dir) / cfg.task / "eval"

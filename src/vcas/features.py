@@ -8,20 +8,18 @@ what the estimators in `learn` consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .container import PayloadKind, read_container, write_container
-from .errors import DegenerateInputError, NumericalError, ParameterError
+from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from .signal import Waveform
 
 # A feature vector is just a 1-D float64 array; matrices stack them as rows.
 FeatureVector = np.ndarray
-
-KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _EIG_TOL_FACTOR = 1e-10
 
@@ -156,52 +154,65 @@ def cosine_kernel(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(gram[0, 0]) if scalar else gram
 
 
-_KERNELS: dict[str, KernelFn] = {"cosine": cosine_kernel}
-
-
 @dataclass(frozen=True)
 class KernelPcaModel:
-    """Fitted kernel-PCA projection.
+    """Fitted cosine kernel-PCA projection, stored in primal form.
 
-    `coefficients` holds one column per retained component, scaled so
-    the columns are orthonormal under the centered-Gram metric
-    (eigenvector / sqrt(eigenvalue)); a centered kernel row against the
-    training set times `coefficients` is the embedding.
-    `kernel_row_means` and `kernel_grand_mean` are the training-Gram
-    statistics used to center new kernel rows.
+    A cosine kernel is the dot product of L2-normalised rows, so the
+    centred kernel row of a new row x against the training set, times
+    the scaled eigenvector columns C, is affine in unit(x) = x / |x|:
+    the embedding is unit(x) @ projection + offset.  For training unit
+    rows U, Gram row means m and grand mean g,
+    projection = U.T @ (C - mean of C's rows) (bins x components) and
+    offset = -m @ C + g * (column sums of C).
     """
 
-    training_rows: np.ndarray
-    coefficients: np.ndarray
+    projection: np.ndarray
+    offset: np.ndarray
     eigenvalues: np.ndarray
     explained_variance_ratio: np.ndarray
-    kernel_row_means: np.ndarray
-    kernel_grand_mean: float
-    kernel_name: str
-    kernel_fn: KernelFn = field(compare=False, repr=False, default=cosine_kernel)
 
     @property
     def n_components(self) -> int:
-        return self.coefficients.shape[1]
+        return self.projection.shape[1]
+
+    @property
+    def n_bins(self) -> int:
+        return self.projection.shape[0]
+
+    @property
+    def fit_id(self) -> str:
+        """sha256 of the stored eigenvalues and offset: names one fit."""
+        digest = hashlib.sha256()
+        for arr in (self.eigenvalues, self.offset):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        return digest.hexdigest()
 
 
-def _kpca_fit_impl(
-    rows: np.ndarray,
-    n_components: int,
-    kernel: KernelFn | None,
+def kpca_fit_transform(
+    rows: np.ndarray, n_components: int
 ) -> tuple[KernelPcaModel, np.ndarray]:
+    """Fit cosine kernel PCA; return (model, training-row embeddings).
+
+    The Gram matrix is double-centered (mean removal in the kernel
+    feature space), eigendecomposed, and the top `n_components`
+    eigenpairs with eigenvalues above tolerance are retained.  Raises
+    ParameterError reporting the attainable maximum when `n_components`
+    exceeds the positive-eigenvalue count.  The embeddings come straight
+    from the eigensystem (centered Gram times the coefficient columns);
+    kpca_transform on the training rows agrees to rounding.
+    """
     rows = _as_matrix(rows, "rows")
     n = rows.shape[0]
     if n < 2:
         raise ParameterError("kernel PCA needs at least two rows")
     if n_components < 1:
         raise ParameterError("n_components must be at least 1")
-    kernel_fn = kernel if kernel is not None else cosine_kernel
-    kernel_name = "cosine" if kernel is None else getattr(kernel, "__name__", "custom")
 
-    gram = np.asarray(kernel_fn(rows, rows), dtype=np.float64)
-    if gram.shape != (n, n):
-        raise ParameterError(f"kernel returned shape {gram.shape}, expected {(n, n)}")
+    unit = _unit_rows(rows, "rows")
+    # A distinct second operand keeps numpy on BLAS gemm: `unit @ unit.T`
+    # on one buffer goes to syrk, which rounds differently.
+    gram = unit @ unit.copy().T
     if not np.isfinite(gram).all():
         raise NumericalError("kernel produced non-finite values")
 
@@ -230,75 +241,36 @@ def _kpca_fit_impl(
 
     evr = kept_vals / float(evals[evals > tol].sum())
     model = KernelPcaModel(
-        training_rows=rows.copy(),
-        coefficients=coef,
+        projection=unit.T @ (coef - coef.mean(axis=0)),
+        offset=-row_means @ coef + grand * coef.sum(axis=0),
         eigenvalues=kept_vals,
         explained_variance_ratio=evr,
-        kernel_row_means=row_means,
-        kernel_grand_mean=grand,
-        kernel_name=kernel_name,
-        kernel_fn=kernel_fn,
     )
-    return model, centered
+    return model, centered @ coef
 
 
-def kpca_fit(
-    rows: np.ndarray,
-    n_components: int,
-    kernel: KernelFn | None = None,
-) -> KernelPcaModel:
-    """Fit kernel PCA on the rows of a feature matrix.
-
-    The Gram matrix is double-centered (mean removal in the kernel
-    feature space), eigendecomposed, and the top `n_components`
-    eigenpairs with eigenvalues above tolerance are retained.  Raises
-    ParameterError reporting the attainable maximum when `n_components`
-    exceeds the positive-eigenvalue count.
-    """
-    model, _ = _kpca_fit_impl(rows, n_components, kernel)
-    return model
+def kpca_fit(rows: np.ndarray, n_components: int) -> KernelPcaModel:
+    """Fit cosine kernel PCA on the rows of a feature matrix."""
+    return kpca_fit_transform(rows, n_components)[0]
 
 
 def kpca_transform(model: KernelPcaModel, rows: np.ndarray) -> np.ndarray:
     """Project one row (1-D) or a matrix of rows into component space.
 
-    New kernel rows are centered with the stored training statistics:
-    k - mean(k) - training row means + grand mean, then multiplied by
-    the scaled eigenvector columns.
+    Equal to centering each row's cosine-kernel row against the
+    training set and multiplying by the scaled eigenvectors, folded
+    into unit(rows) @ projection + offset.
     """
     rows_arr = np.asarray(rows, dtype=np.float64)
     single = rows_arr.ndim == 1
     rows_m = _as_matrix(rows_arr, "rows")
-    if rows_m.shape[1] != model.training_rows.shape[1]:
+    if rows_m.shape[1] != model.n_bins:
         raise ParameterError(
             f"row length {rows_m.shape[1]} does not match training "
-            f"length {model.training_rows.shape[1]}"
+            f"length {model.n_bins}"
         )
-    k = np.asarray(model.kernel_fn(rows_m, model.training_rows), dtype=np.float64)
-    k_centered = (
-        k
-        - k.mean(axis=1)[:, None]
-        - model.kernel_row_means[None, :]
-        + model.kernel_grand_mean
-    )
-    out = k_centered @ model.coefficients
+    out = _unit_rows(rows_m, "rows") @ model.projection + model.offset
     return out[0] if single else out
-
-
-def kpca_fit_transform(
-    rows: np.ndarray,
-    n_components: int,
-    kernel: KernelFn | None = None,
-) -> tuple[KernelPcaModel, np.ndarray]:
-    """Fit, then return (model, training-row embeddings).
-
-    The embeddings come straight from the fitted eigensystem (centered
-    Gram times the coefficient columns) rather than a second kernel
-    evaluation; kpca_transform on the training rows agrees to
-    rounding.
-    """
-    model, centered = _kpca_fit_impl(rows, n_components, kernel)
-    return model, centered @ model.coefficients
 
 
 def write_evr_csv(model: KernelPcaModel, path: str | Path) -> Path:
@@ -316,35 +288,33 @@ def write_evr_csv(model: KernelPcaModel, path: str | Path) -> Path:
     return path
 
 
-def save_kpca(model: KernelPcaModel, path: str | Path) -> Path:
-    if model.kernel_name not in _KERNELS:
-        raise ParameterError(
-            f"kernel {model.kernel_name!r} cannot be restored by name; "
-            "only the built-in cosine kernel is serializable"
-        )
+def save_kpca(
+    model: KernelPcaModel, path: str | Path, meta: dict | None = None
+) -> Path:
+    """Write the primal-form model; `meta` adds entries to its metadata."""
     arrays = {
-        "training_rows": model.training_rows,
-        "coefficients": model.coefficients,
+        "projection": model.projection,
+        "offset": model.offset,
         "eigenvalues": model.eigenvalues,
         "explained_variance_ratio": model.explained_variance_ratio,
-        "kernel_row_means": model.kernel_row_means,
     }
-    meta = {"grand_mean": model.kernel_grand_mean, "kernel": model.kernel_name}
-    return write_container(path, PayloadKind.KPCA_MODEL, arrays, meta)
+    return write_container(
+        path, PayloadKind.KPCA_MODEL, arrays, {**(meta or {}), "fit_id": model.fit_id}
+    )
 
 
-def load_kpca(path: str | Path) -> KernelPcaModel:
+def load_kpca(path: str | Path) -> tuple[KernelPcaModel, dict]:
+    """Read a model written by save_kpca; returns (model, metadata)."""
     _, arrays, meta = read_container(path, expect_kind=PayloadKind.KPCA_MODEL)
-    name = str(meta["kernel"])
-    if name not in _KERNELS:
-        raise ParameterError(f"unknown kernel {name!r} in model file")
-    return KernelPcaModel(
-        training_rows=arrays["training_rows"],
-        coefficients=arrays["coefficients"],
+    if "projection" not in arrays or "offset" not in arrays:
+        raise DataError(
+            f"{path} holds a kernel-form kPCA model without a projection "
+            "and offset; rerun train to refit it"
+        )
+    model = KernelPcaModel(
+        projection=arrays["projection"],
+        offset=arrays["offset"],
         eigenvalues=arrays["eigenvalues"],
         explained_variance_ratio=arrays["explained_variance_ratio"],
-        kernel_row_means=arrays["kernel_row_means"],
-        kernel_grand_mean=float(meta["grand_mean"]),
-        kernel_name=name,
-        kernel_fn=_KERNELS[name],
     )
+    return model, meta

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,8 +130,8 @@ def dataset_from_labels(
     return Dataset(rows, targets, names, split_tag, session_ids)
 
 
-def assert_sessions_disjoint(train: Dataset, test: Dataset) -> None:
-    overlap = set(np.unique(train.session_ids)) & set(np.unique(test.session_ids))
+def assert_sessions_disjoint(train_sessions: Iterable[int], test: Dataset) -> None:
+    overlap = set(train_sessions) & set(np.unique(test.session_ids).tolist())
     if overlap:
         raise ParameterError(f"train/test share sessions {sorted(overlap)}")
 
@@ -634,12 +634,14 @@ def write_regression_csv(report: RegressionReport, path: str | Path) -> Path:
     return path
 
 
-def save_mlp(model: MlpModel, path: str | Path) -> Path:
+def save_mlp(model: MlpModel, path: str | Path, meta: dict | None = None) -> Path:
+    """Write the network; `meta` adds entries to its metadata."""
     arrays: dict[str, np.ndarray] = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
     meta = {
+        **(meta or {}),
         "n_layers": len(model.weights),
         "head": model.head,
         "label_names": list(model.label_names) if model.label_names else None,
@@ -648,17 +650,19 @@ def save_mlp(model: MlpModel, path: str | Path) -> Path:
     return write_container(path, PayloadKind.MLP_MODEL, arrays, meta)
 
 
-def load_mlp(path: str | Path) -> MlpModel:
+def load_mlp(path: str | Path) -> tuple[MlpModel, dict]:
+    """Read a network written by save_mlp; returns (model, metadata)."""
     _, arrays, meta = read_container(path, expect_kind=PayloadKind.MLP_MODEL)
     n = int(meta["n_layers"])
     weights = [arrays[f"w{i}"] for i in range(n)]
     biases = [arrays[f"b{i}"] for i in range(n)]
     label_names = meta.get("label_names")
     scale = meta.get("target_scale")
-    return MlpModel(
+    model = MlpModel(
         weights,
         biases,
         head=str(meta["head"]),
         label_names=tuple(label_names) if label_names else None,
         target_scale=(float(scale[0]), float(scale[1])) if scale else None,
     )
+    return model, meta

@@ -405,13 +405,19 @@ def band_slice_for(bin_hz: float, n_bins: int, band: str) -> slice:
 
 @dataclass(frozen=True)
 class TaskModels:
-    """Fitted reduction and estimator for one (task, band) run."""
+    """Fitted reduction and estimator for one (task, band) run.
+
+    `train_sessions` lists the sessions the models were fitted on, so
+    evaluation can check test sessions against them without the
+    training rows.
+    """
 
     task: str
     band: str
     n_components: int
     kpca: KernelPcaModel
     mlp: MlpModel
+    train_sessions: tuple[int, ...]
     history: TrainingHistory | None = None
 
 
@@ -429,8 +435,9 @@ def train_task(data: TaskData, cfg: RunConfig) -> TaskModels:
         embeddings, train.targets, data.label_names, "train", train.session_ids
     )
     mlp, history = mlp_train(emb_ds, cfg.train_config())
+    sessions = tuple(np.unique(train.session_ids).tolist())
     return TaskModels(
-        data.task, cfg.band, cfg.n_components_resolved, kpca, mlp, history
+        data.task, cfg.band, cfg.n_components_resolved, kpca, mlp, sessions, history
     )
 
 
@@ -459,7 +466,6 @@ def eval_task(models: TaskModels, data: TaskData) -> TaskEval:
             f"models are for task {models.task!r}, data is {data.task!r}"
         )
     lo, hi = BANDS[models.band]
-    train_split = data.conditions["in_distribution"]
     rows_out: list[dict] = []
     confusions: dict[str, ConfusionMatrix] = {}
     regressions: dict[str, RegressionReport] = {}
@@ -467,8 +473,7 @@ def eval_task(models: TaskModels, data: TaskData) -> TaskEval:
         test = data.conditions[cond].test
         if test is None:
             continue
-        if train_split.train is not None:
-            assert_sessions_disjoint(train_split.train, test)
+        assert_sessions_disjoint(models.train_sessions, test)
         sl = band_slice_for(data.bin_hz, test.rows.shape[1], models.band)
         emb = kpca_transform(models.kpca, test.rows[:, sl])
         emb_ds = Dataset(

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import vcas.cli
 from vcas.cli import build_parser, main, parse_kv_text, run_config_from_args
 from vcas.envsim import ObservationModel, observation_model_to_csv
 from vcas.errors import NumericalError, ParameterError
+from vcas.features import load_kpca, save_kpca
+from vcas.pipeline import read_dataset, write_dataset
 
 TINY_GRASP = [
     "--set", "sessions_train=2",
@@ -173,6 +176,102 @@ def test_kpca_and_mlp_from_different_runs_exit_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(kpca_path) in err
     assert str(tmp_path / "grasp" / "models" / "mlp_full.vcas") in err
+
+
+def test_kpca_and_mlp_of_equal_width_from_different_runs_exit_2(
+    workspace, tmp_path, capsys
+):
+    # A second chain with another seed: same width, different fit.
+    args = ["--task", "grasp", *TINY_GRASP, "--seed", "1", "--out", str(tmp_path)]
+    for command in ("synth-data", "train"):
+        assert main([command, *args]) == 0
+    kpca_path = tmp_path / "grasp" / "models" / "kpca_full.vcas"
+    shutil.copyfile(workspace / "grasp" / "models" / "kpca_full.vcas", kpca_path)
+    capsys.readouterr()
+    assert main(["eval", *args]) == 2
+    err = capsys.readouterr().err
+    assert str(kpca_path) in err
+    assert str(tmp_path / "grasp" / "models" / "mlp_full.vcas") in err
+
+
+def _without_train_file(workspace, tmp_path) -> Path:
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    (tmp_path / "grasp" / "data" / "in_distribution.train.vcas").unlink()
+    return tmp_path
+
+
+def test_eval_does_not_need_the_train_file(workspace, tmp_path, capsys):
+    out = _without_train_file(workspace, tmp_path)
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(out)]) == 0
+    capsys.readouterr()
+    name = "grasp/eval/metrics_full.json"
+    assert (out / name).read_bytes() == (workspace / name).read_bytes()
+
+
+def test_eval_without_train_file_still_rejects_a_shared_session(workspace, tmp_path):
+    out = _without_train_file(workspace, tmp_path)
+    test_path = out / "grasp" / "data" / "in_distribution.test.vcas"
+    test, meta = read_dataset(test_path)
+    leaked = replace(test, session_ids=np.zeros(len(test), dtype=np.int64))
+    write_dataset(leaked, test_path, "grasp", "in_distribution", meta["bin_hz"])
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(out)]) == 1
+
+
+def test_kpca_file_without_training_sessions_exits_2(workspace, tmp_path, capsys):
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    kpca_path = tmp_path / "grasp" / "models" / "kpca_full.vcas"
+    kpca, _ = load_kpca(kpca_path)
+    save_kpca(kpca, kpca_path)  # same fit, no session list
+    capsys.readouterr()
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 2
+    assert "lists no training sessions" in capsys.readouterr().err
+
+
+# A child's ru_maxrss counts the resident set it was forked from, so the
+# children are started from a small launcher, not from the test process.
+_PEAK_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{argv} failed")
+    peaks.append(usage.ru_maxrss * 1024)  # kilobytes on Linux
+print(json.dumps(peaks))
+"""
+
+
+def _peak_rss(*argvs: list[str]) -> list[int]:
+    """Peak RSS in bytes of a fresh interpreter run with each argv."""
+    src = str(Path(vcas.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
+    # Default grasp sizes: the train file (300 rows) outweighs the two
+    # test files (75 rows each), so reading it would break the bound.
+    args = ["--task", "grasp", "--set", "n_components=3", "--set", "max_epochs=2",
+            "--out", str(tmp_path)]
+    for command in ("synth-data", "train"):
+        assert main([command, *args]) == 0
+    capsys.readouterr()
+    grasp = tmp_path / "grasp"
+    read = [grasp / "models" / "kpca_full.vcas", grasp / "models" / "mlp_full.vcas",
+            *sorted((grasp / "data").glob("*.test.vcas"))]
+    bare, peak = _peak_rss(
+        ["-c", "import vcas.cli"],
+        ["-c", "from vcas.cli import run; run()", "eval", *args],
+    )
+    bound = bare + 2 * sum(p.stat().st_size for p in read)
+    assert peak <= bound, f"eval peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
 
 
 def test_numerical_error_exits_3(monkeypatch, tmp_path):

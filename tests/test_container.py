@@ -1,11 +1,11 @@
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcas import container
 from vcas.container import PayloadKind, read_container, write_container
 from vcas.errors import DataError
 
@@ -125,22 +125,70 @@ def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, fail_at)
     path = tmp_path / "x.vcas"
     write_container(path, PayloadKind.DATASET, {"x": np.ones(3)}, {"v": 1})
     before = path.read_bytes()
+    halves = []
 
-    def write_half_then_fail(self, data):
-        with open(self, "wb") as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError("disk full")
+    class DiskFullMidArray:
+        """An open file whose first array write stops halfway.
+
+        The header goes out as bytes, each array as a memoryview of its
+        buffer.
+        """
+
+        def __init__(self, file, mode):
+            self._fh = open(file, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, data):
+            if isinstance(data, memoryview):
+                halves.append(self._fh.write(data.cast("B")[: data.nbytes // 2]))
+                self._fh.flush()
+                raise OSError("disk full")
+            return self._fh.write(data)
 
     def refuse_replace(src, dst):
         raise OSError("rename refused")
 
     if fail_at == "write_bytes":
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        monkeypatch.setattr(container, "open", DiskFullMidArray, raising=False)
     else:
         monkeypatch.setattr(os, "replace", refuse_replace)
     with pytest.raises(OSError):
         write_container(path, PayloadKind.DATASET, {"x": np.zeros(500)}, {"v": 2})
     monkeypatch.undo()
 
+    assert halves == ([2000] if fail_at == "write_bytes" else [])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["x.vcas"]
+
+
+def _two_array_file(tmp_path) -> bytes:
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.5])}
+    path = write_container(tmp_path / "x.vcas", PayloadKind.MLP_MODEL, arrays, {"k": 1})
+    return path.read_bytes()
+
+
+def test_every_truncation_is_rejected(tmp_path):
+    raw = _two_array_file(tmp_path)
+    bad = tmp_path / "bad.vcas"
+    for cut in range(len(raw)):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(DataError):
+            read_container(bad)
+
+
+def test_array_larger_than_the_file_is_rejected_before_allocating(tmp_path):
+    path = write_container(
+        tmp_path / "x.vcas", PayloadKind.DATASET, {"x": np.ones(2)}, {}
+    )
+    raw = bytearray(path.read_bytes())
+    # The one dimension is the last u64 before the 16 data bytes.
+    raw[-24:-16] = (2**61).to_bytes(8, "little")
+    bad = tmp_path / "bad.vcas"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="truncated"):
+        read_container(bad)

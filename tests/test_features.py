@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import covariance_pca_projections, kpca_reference
-from vcas.errors import DegenerateInputError, ParameterError
+from vcas.container import PayloadKind, write_container
+from vcas.errors import DataError, DegenerateInputError, ParameterError
 from vcas.features import (
     Spectrum,
     band_select,
@@ -206,9 +209,12 @@ def test_kpca_out_of_sample_matches_reference():
 def test_kpca_sign_canonicalization_largest_coefficient_nonnegative():
     rng = np.random.default_rng(9)
     rows = rng.normal(size=(18, 7)) + 1.5
-    model = kpca_fit(rows, 5)
+    model, emb = kpca_fit_transform(rows, 5)
+    # emb = centered Gram @ coefficients, and the coefficients are
+    # eigenvectors over sqrt(eigenvalue), so emb / eigenvalue gives them back.
+    coef = emb / model.eigenvalues
     for j in range(5):
-        col = model.coefficients[:, j]
+        col = coef[:, j]
         assert col[np.argmax(np.abs(col))] >= 0
 
 
@@ -237,22 +243,20 @@ def test_kpca_length_mismatch_rejected():
 
 
 def test_kpca_linear_kernel_reproduces_classical_pca():
-    def linear(a, b):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        out = a @ b.T
-        return out if out.size > 1 else float(out[0, 0])
-
+    # The cosine kernel is the linear kernel on unit rows, so cosine kPCA
+    # is classical PCA of the unit rows, for the fit and the projection.
     rng = np.random.default_rng(13)
     for trial in range(5):
         rows = rng.normal(size=(10, 4))
-        rows = rows - rows.mean(axis=0)
-        _, emb = kpca_fit_transform(rows, 3, kernel=linear)
-        ref = covariance_pca_projections(rows, 3)
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        model, emb = kpca_fit_transform(rows, 3)
+        ref = covariance_pca_projections(unit, 3)
+        again = kpca_transform(model, rows)
         for j in range(3):
-            direct = np.abs(emb[:, j] - ref[:, j]).max()
-            flipped = np.abs(emb[:, j] + ref[:, j]).max()
-            assert min(direct, flipped) < 1e-8
+            for got in (emb[:, j], again[:, j]):
+                direct = np.abs(got - ref[:, j]).max()
+                flipped = np.abs(got + ref[:, j]).max()
+                assert min(direct, flipped) < 1e-8
 
 
 def test_kpca_save_load_round_trip(tmp_path):
@@ -260,26 +264,45 @@ def test_kpca_save_load_round_trip(tmp_path):
     rows = np.abs(rng.normal(size=(12, 8))) + 0.1
     new = np.abs(rng.normal(size=(3, 8))) + 0.1
     model = kpca_fit(rows, 4)
-    path = save_kpca(model, tmp_path / "k.vcas")
-    loaded = load_kpca(path)
-    assert loaded.kernel_name == "cosine"
-    assert np.array_equal(loaded.training_rows, model.training_rows)
+    path = save_kpca(model, tmp_path / "k.vcas", {"train_sessions": [0, 2]})
+    loaded, meta = load_kpca(path)
+    assert meta == {"fit_id": model.fit_id, "train_sessions": [0, 2]}
+    assert loaded.projection.shape == (8, 4)
+    assert loaded.projection.tobytes() == model.projection.tobytes()
+    assert loaded.offset.tobytes() == model.offset.tobytes()
+    assert loaded.eigenvalues.tobytes() == model.eigenvalues.tobytes()
     assert kpca_transform(loaded, new).tobytes() == kpca_transform(model, new).tobytes()
 
 
-def test_kpca_custom_kernel_not_serializable(tmp_path):
+def test_kpca_fit_id_hashes_eigenvalues_and_offset():
     rng = np.random.default_rng(15)
-    rows = rng.normal(size=(6, 4))
+    rows = np.abs(rng.normal(size=(9, 5))) + 0.1
+    model = kpca_fit(rows, 2)
+    want = hashlib.sha256(model.eigenvalues.tobytes() + model.offset.tobytes())
+    assert model.fit_id == want.hexdigest()
+    assert kpca_fit(rows[1:], 2).fit_id != model.fit_id
 
-    def linear(a, b):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        out = a @ b.T
-        return out if out.size > 1 else float(out[0, 0])
 
-    model = kpca_fit(rows, 2, kernel=linear)
-    with pytest.raises(ParameterError):
-        save_kpca(model, tmp_path / "k.vcas")
+def test_kernel_form_kpca_file_is_rejected(tmp_path):
+    # The layout written before the primal form: training rows and the
+    # kernel-centering statistics, with no projection or offset.
+    rng = np.random.default_rng(16)
+    arrays = {
+        "training_rows": np.abs(rng.normal(size=(6, 4))),
+        "coefficients": rng.normal(size=(6, 2)),
+        "eigenvalues": np.array([0.5, 0.25]),
+        "explained_variance_ratio": np.array([0.6, 0.3]),
+        "kernel_row_means": rng.normal(size=6),
+    }
+    path = write_container(
+        tmp_path / "old.vcas",
+        PayloadKind.KPCA_MODEL,
+        arrays,
+        {"grand_mean": 0.5, "kernel": "cosine"},
+    )
+    with pytest.raises(DataError, match="rerun train") as exc:
+        load_kpca(path)
+    assert exc.value.exit_code == 2
 
 
 def test_evr_csv_format(tmp_path):

@@ -78,12 +78,12 @@ def test_dataset_validation():
 
 
 def test_sessions_disjoint_check():
-    train = Dataset(np.zeros((2, 1)), np.zeros(2), session_ids=np.array([0, 1]))
+    train_sessions = (0, 1)
     test = Dataset(np.zeros((2, 1)), np.zeros(2), session_ids=np.array([2, 2]))
-    assert_sessions_disjoint(train, test)
+    assert_sessions_disjoint(train_sessions, test)
     bad = Dataset(np.zeros((2, 1)), np.zeros(2), session_ids=np.array([1, 3]))
     with pytest.raises(ParameterError, match="1"):
-        assert_sessions_disjoint(train, bad)
+        assert_sessions_disjoint(train_sessions, bad)
 
 
 # ------------------------------------------------------------ init
@@ -484,8 +484,9 @@ def test_regression_csv_layout(tmp_path):
 def test_mlp_save_load_round_trip(tmp_path):
     data = blobs(4, seed=20)
     model, _ = mlp_train(data, TrainConfig(max_epochs=3, seed=0))
-    path = save_mlp(model, tmp_path / "m.vcas")
-    loaded = load_mlp(path)
+    path = save_mlp(model, tmp_path / "m.vcas", {"fit_id": "abc"})
+    loaded, meta = load_mlp(path)
+    assert meta["fit_id"] == "abc"
     assert loaded.head == "softmax"
     assert loaded.label_names == ("a", "b")
     assert all(a.tobytes() == b.tobytes() for a, b in zip(model.weights, loaded.weights))
@@ -498,6 +499,7 @@ def test_mlp_save_load_regression_scale(tmp_path):
     model = MlpModel(
         [np.zeros((2, 1))], [np.array([0.5])], "identity", target_scale=(0.0, 170.0)
     )
-    loaded = load_mlp(save_mlp(model, tmp_path / "r.vcas"))
+    loaded, meta = load_mlp(save_mlp(model, tmp_path / "r.vcas"))
+    assert "fit_id" not in meta
     assert loaded.target_scale == (0.0, 170.0)
     assert loaded.label_names is None

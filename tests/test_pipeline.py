@@ -12,6 +12,8 @@ from vcas.pipeline import (
     N_COMPONENTS_DEFAULT,
     SAMPLES_PER_CLASS_DEFAULT,
     RunConfig,
+    SplitData,
+    TaskData,
     band_slice_for,
     dataset_path,
     eval_task,
@@ -173,7 +175,8 @@ def test_contact_synthesis_tiny():
 def test_train_task_builds_models(grasp_data, grasp_models):
     assert grasp_models.task == "grasp"
     assert grasp_models.n_components == 3
-    assert grasp_models.kpca.training_rows.shape[1] == 20980  # full band
+    assert grasp_models.kpca.projection.shape == (20980, 3)  # full band
+    assert grasp_models.train_sessions == (0, 1)
     assert grasp_models.mlp.in_dim == 3
     assert grasp_models.mlp.label_names == grasp_data.label_names
     assert grasp_models.history is not None
@@ -188,7 +191,7 @@ def test_band_slice_values():
 def test_low_band_training(grasp_data):
     cfg = tiny_grasp_config(band="low")
     models = train_task(grasp_data, cfg)
-    assert models.kpca.training_rows.shape[1] == 8753 - 20
+    assert models.kpca.projection.shape[0] == 8753 - 20
 
 
 # ---------------------------------------------------------- evaluation
@@ -208,6 +211,20 @@ def test_eval_task_emits_one_row_per_condition(grasp_data, grasp_models):
     assert ev.rows[0]["n_test"] == 6
     assert set(ev.confusions) == {"in_distribution", "perturbed"}
     assert not ev.regressions
+
+
+def test_eval_task_rejects_a_test_session_seen_in_training(grasp_data, grasp_models):
+    test = grasp_data.conditions["in_distribution"].test
+    leaked = Dataset(
+        test.rows, test.targets, test.label_names, "test",
+        np.full(len(test), grasp_models.train_sessions[-1]),
+    )
+    data = TaskData(
+        grasp_data.task, grasp_data.bin_hz, grasp_data.label_names,
+        {"in_distribution": SplitData(test=leaked)},
+    )
+    with pytest.raises(ParameterError, match="share sessions"):
+        eval_task(grasp_models, data)
 
 
 def test_metrics_to_dict_shape(grasp_data, grasp_models):
