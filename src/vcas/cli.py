@@ -1,23 +1,29 @@
 """Command-line surface: synth-data, train, eval, sim, report.
 
-Flat key=value config files feed RunConfig; --set and explicit flags
-override file values in that order.  Every command resolves its artifact
-root from --out, then the VCAS_DATA_DIR environment variable, then
-./vcas_out.  Exit codes: 0 success, 1 usage/config error, 2 data error,
+Each command's settings form one config dataclass (RunConfig, or a sim
+subcommand's options); a flat key=value config file, then --set, then
+explicit flags fill it, each overriding the one before.  Every command
+resolves its artifact root from --out, then the VCAS_DATA_DIR
+environment variable, then ./vcas_out.  Exit codes: 0 success, 1 usage/config error, 2 data error,
 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
 from .envsim import (
+    MAX_EPISODE_STEPS,
+    WINDOW_LENGTH,
     ObservationModel,
     PoseState,
     episode_to_dict,
@@ -100,114 +106,140 @@ def _collect_kv(args: argparse.Namespace) -> dict[str, str]:
     return kv
 
 
-def _cast_value(key: str, raw: str, caster):
-    try:
-        return caster(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad value for {key}: {raw!r}") from exc
+# The sim defaults reuse the simulator's own: this accuracy, WINDOW_LENGTH
+# and MAX_EPISODE_STEPS.
+_DEFAULT_ACCURACY = inspect.signature(ObservationModel.default).parameters[
+    "accuracy"
+].default
+
+
+@dataclass(frozen=True)
+class _SimOptions:
+    """Keys shared by the sim subcommands that observe contacts."""
+
+    obs: str = "default"
+    obs_accuracy: float = _DEFAULT_ACCURACY
+    seed: int = 0
+
+    def observation_model(self) -> ObservationModel:
+        if self.obs == "default":
+            return ObservationModel.default(self.obs_accuracy)
+        if self.obs == "identity":
+            return ObservationModel.identity()
+        path = Path(self.obs)
+        if not path.exists():
+            raise DataError(
+                f"observation model {self.obs!r} is neither default, identity, "
+                "nor a file"
+            )
+        return observation_model_from_csv(path)
+
+
+@dataclass(frozen=True)
+class _DemosOptions(_SimOptions):
+    episodes: int = 2000
+    regime: str = "interpolated"
+    window_length: int = WINDOW_LENGTH
+
+
+@dataclass(frozen=True)
+class _TrainPolicyOptions:
+    demos: str | None = None
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+
+@dataclass(frozen=True)
+class _EvalPolicyOptions(_SimOptions):
+    policy: str | None = None
+    regime: str = "fixed"
+    episodes: int = 1000
+    mode: str = "greedy"
+
+
+@dataclass(frozen=True)
+class _RolloutOptions(_SimOptions):
+    policy: str = "expert"
+    start: str = "45,45"
+    max_steps: int = MAX_EPISODE_STEPS
+    window_length: int = WINDOW_LENGTH
+    mode: str = "greedy"
+
+
+_SIM_OPTIONS = {
+    "demos": _DemosOptions,
+    "train-policy": _TrainPolicyOptions,
+    "eval-policy": _EvalPolicyOptions,
+    "rollout": _RolloutOptions,
+}
 
 
 def _conditions_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-_RUN_CASTS = {
-    "task": str,
-    "band": str,
-    "seed": int,
-    "n_components": int,
-    "preset": str,
-    "sessions_train": int,
-    "sessions_test": int,
-    "train_per_class": int,
-    "test_per_class": int,
-    "conditions": _conditions_list,
-    "step_size": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "min_delta": float,
-    "validation_fraction": float,
-}
+def _casters(cls) -> dict[str, Callable[[str], object]]:
+    """Config key -> caster, from the field types of a config dataclass.
+
+    `X | None` casts as X and `tuple[str, ...]` from a comma list; a
+    nested config dataclass contributes its own keys.
+    """
+    out = {}
+    for key, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            out.update(_casters(hint))
+            continue
+        if type(None) in get_args(hint):
+            (hint,) = (a for a in get_args(hint) if a is not type(None))
+        out[key] = _conditions_list if hint == tuple[str, ...] else hint
+    return out
 
 
-def run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    kv = _collect_kv(args)
+def _build(cls, values: dict):
+    hints = get_type_hints(cls)
     kwargs = {}
-    for key, raw in kv.items():
-        if key not in _RUN_CASTS:
-            raise ParameterError(f"unknown config key {key!r}")
-        kwargs[key] = _cast_value(key, raw, _RUN_CASTS[key])
-    if getattr(args, "task", None):
-        kwargs["task"] = args.task
-    if getattr(args, "band", None):
-        kwargs["band"] = args.band
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if "task" not in kwargs:
-        raise ParameterError("task is required (pass --task or set task= in config)")
-    return RunConfig(**kwargs)
-
-
-_SIM_SPECS: dict[str, dict[str, tuple]] = {
-    "demos": {
-        "episodes": (int, 2000),
-        "regime": (str, "interpolated"),
-        "obs": (str, "default"),
-        "obs_accuracy": (float, 0.95),
-        "window_length": (int, 10),
-        "seed": (int, 0),
-    },
-    "train-policy": {
-        "demos": (str, None),
-        "seed": (int, 0),
-        "step_size": (float, 1e-3),
-        "batch_size": (int, 32),
-        "max_epochs": (int, 200),
-        "patience": (int, 20),
-        "min_delta": (float, 1e-4),
-        "validation_fraction": (float, 0.1),
-    },
-    "eval-policy": {
-        "policy": (str, None),
-        "regime": (str, "fixed"),
-        "episodes": (int, 1000),
-        "obs": (str, "default"),
-        "obs_accuracy": (float, 0.95),
-        "mode": (str, "greedy"),
-        "seed": (int, 0),
-    },
-    "rollout": {
-        "policy": (str, "expert"),
-        "start": (str, "45,45"),
-        "obs": (str, "default"),
-        "obs_accuracy": (float, 0.95),
-        "max_steps": (int, 50),
-        "window_length": (int, 10),
-        "mode": (str, "greedy"),
-        "seed": (int, 0),
-    },
-}
-
-# argparse attribute name when it differs from the option key
-_SIM_FLAG_NAMES = {"window_length": "window", "max_epochs": "epochs"}
-
-
-def sim_options_from_args(args: argparse.Namespace, subcommand: str) -> dict:
-    spec = _SIM_SPECS[subcommand]
-    opts = {key: default for key, (_, default) in spec.items()}
-    for key, raw in _collect_kv(args).items():
-        if key not in spec:
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            kwargs[f.name] = _build(hint, values)
+        elif f.name in values:
+            kwargs[f.name] = values[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ParameterError(
-                f"unknown config key {key!r} for sim {subcommand}"
+                f"{f.name} is required (pass --{f.name} or set {f.name}= in config)"
             )
-        opts[key] = _cast_value(key, raw, spec[key][0])
-    for key in spec:
-        flag = _SIM_FLAG_NAMES.get(key, key)
-        value = getattr(args, flag, None)
+    return cls(**kwargs)
+
+
+# argparse attribute name when it differs from the config key
+_FLAG_NAMES = {"window_length": "window", "max_epochs": "epochs"}
+
+
+def config_from_args(args: argparse.Namespace):
+    """The command's config dataclass from --config, then --set, then flags.
+
+    Each later source overrides the earlier ones; a key that the config
+    (or a config it nests) does not declare is an error.
+    """
+    if args.command == "sim":
+        cls, command = _SIM_OPTIONS[args.sim_command], f"sim {args.sim_command}"
+    else:
+        cls, command = RunConfig, args.command
+    casters = _casters(cls)
+    values = {}
+    for key, raw in _collect_kv(args).items():
+        if key not in casters:
+            raise ParameterError(f"unknown config key {key!r} for {command}")
+        try:
+            values[key] = casters[key](raw)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad value for {key}: {raw!r}") from exc
+    for key in casters:
+        value = getattr(args, _FLAG_NAMES.get(key, key), None)
         if value is not None:
-            opts[key] = value
-    return opts
+            values[key] = value
+    if values.get("seed", 0) < 0:
+        raise ParameterError(f"seed must be >= 0, got {values['seed']}")
+    return _build(cls, values)
 
 
 # --------------------------------------------------------------------------
@@ -347,47 +379,23 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def _resolve_observation_model(spec: str, accuracy: float) -> ObservationModel:
-    if spec == "default":
-        return ObservationModel.default(accuracy)
-    if spec == "identity":
-        return ObservationModel(np.eye(3))
-    path = Path(spec)
-    if not path.exists():
-        raise DataError(
-            f"observation model {spec!r} is neither default, identity, nor a file"
-        )
-    return observation_model_from_csv(path)
-
-
-def cmd_sim(subcommand: str, options: dict, out_dir: str | Path) -> list[Path]:
+def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
     """Simulator workflows: demos, train-policy, eval-policy, rollout."""
     sim_dir = Path(out_dir) / "sim"
     if subcommand == "demos":
-        m = _resolve_observation_model(options["obs"], options["obs_accuracy"])
         demos = generate_demos(
-            options["episodes"],
-            options["regime"],
-            m,
-            options["seed"],
-            window_length=options["window_length"],
+            options.episodes,
+            options.regime,
+            options.observation_model(),
+            options.seed,
+            window_length=options.window_length,
         )
         return [write_demos(demos, sim_dir / "demos.jsonl")]
     if subcommand == "train-policy":
-        demos_path = Path(options["demos"] or sim_dir / "demos.jsonl")
+        demos_path = Path(options.demos or sim_dir / "demos.jsonl")
         if not demos_path.exists():
             raise DataError(f"no demo set at {demos_path}; run sim demos first")
-        demos = read_demos(demos_path)
-        tc = TrainConfig(
-            step_size=options["step_size"],
-            batch_size=options["batch_size"],
-            max_epochs=options["max_epochs"],
-            patience=options["patience"],
-            min_delta=options["min_delta"],
-            validation_fraction=options["validation_fraction"],
-            seed=options["seed"],
-        )
-        model, history = policy_train(demos, tc)
+        model, history = policy_train(read_demos(demos_path), options.train)
         history_payload = history_to_dict(history)
         history_payload["window_length"] = model.window_length
         return [
@@ -395,49 +403,42 @@ def cmd_sim(subcommand: str, options: dict, out_dir: str | Path) -> list[Path]:
             write_json(history_payload, sim_dir / "policy_history.json"),
         ]
     if subcommand == "eval-policy":
-        policy_path = Path(options["policy"] or sim_dir / "policy.vcas")
+        policy_path = Path(options.policy or sim_dir / "policy.vcas")
         if not policy_path.exists():
             raise DataError(f"no policy at {policy_path}; run train-policy first")
-        model = load_policy(policy_path)
-        m = _resolve_observation_model(options["obs"], options["obs_accuracy"])
         report = policy_eval(
-            model,
-            options["regime"],
-            options["episodes"],
-            m,
-            options["seed"],
-            mode=options["mode"],
+            load_policy(policy_path),
+            options.regime,
+            options.episodes,
+            options.observation_model(),
+            options.seed,
+            mode=options.mode,
         )
-        return [
-            write_eval_report_json(
-                report, sim_dir / f"eval_{options['regime']}.json"
-            )
-        ]
+        return [write_eval_report_json(report, sim_dir / f"eval_{options.regime}.json")]
     if subcommand == "rollout":
-        if options["policy"] == "expert":
+        if options.policy == "expert":
             policy_fn = expert_policy
-            window_length = options["window_length"]
+            window_length = options.window_length
         else:
-            policy_path = Path(options["policy"])
+            policy_path = Path(options.policy)
             if not policy_path.exists():
                 raise DataError(f"no policy at {policy_path}")
             model = load_policy(policy_path)
-            policy_fn = as_rollout_policy(model, mode=options["mode"])
+            policy_fn = as_rollout_policy(model, mode=options.mode)
             window_length = model.window_length
         try:
-            x_str, z_str = options["start"].split(",")
+            x_str, z_str = options.start.split(",")
             start = PoseState(float(x_str), float(z_str))
         except ValueError as exc:
             raise ParameterError(
-                f"--start expects THETA_X,THETA_Z, got {options['start']!r}"
+                f"--start expects THETA_X,THETA_Z, got {options.start!r}"
             ) from exc
-        m = _resolve_observation_model(options["obs"], options["obs_accuracy"])
         episode = rollout(
             policy_fn,
             start,
-            m,
-            options["seed"],
-            max_steps=options["max_steps"],
+            options.observation_model(),
+            options.seed,
+            max_steps=options.max_steps,
             window_length=window_length,
         )
         trace = episode_to_dict(episode)
@@ -615,19 +616,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace, out_dir: str) -> list[Path]:
-    if args.command == "synth-data":
-        return cmd_synth_data(run_config_from_args(args), out_dir)
-    if args.command == "train":
-        return cmd_train(run_config_from_args(args), out_dir)
-    if args.command == "eval":
-        return cmd_eval(run_config_from_args(args), out_dir)
-    if args.command == "sim":
-        return cmd_sim(
-            args.sim_command, sim_options_from_args(args, args.sim_command), out_dir
-        )
     if args.command == "report":
         return cmd_report(args.paths, out_dir)
-    raise ParameterError(f"unknown command {args.command!r}")
+    config = config_from_args(args)
+    if args.command == "sim":
+        return cmd_sim(args.sim_command, config, out_dir)
+    cmd = {"synth-data": cmd_synth_data, "train": cmd_train, "eval": cmd_eval}
+    return cmd[args.command](config, out_dir)
 
 
 def main(argv=None) -> int:

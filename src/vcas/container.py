@@ -40,12 +40,12 @@ FORMAT_VERSION = 1
 
 
 class PayloadKind(enum.IntEnum):
-    # Tags 1 and 2 belonged to retired waveform/spectrum payloads; they
-    # stay unassigned so such files read as an unknown kind.
+    # Tags 1 and 2 belonged to retired waveform/spectrum payloads and tag
+    # 6 to policies before they became MLP files; they stay unassigned
+    # so such files read as an unknown kind.
     DATASET = 3
     KPCA_MODEL = 4
     MLP_MODEL = 5
-    POLICY_MODEL = 6
 
 
 def write_container(

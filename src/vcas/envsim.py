@@ -83,11 +83,16 @@ def grid_poses() -> list[PoseState]:
     return [PoseState(x, z) for x in values for z in values]
 
 
-def contact_type(p: PoseState) -> ContactType:
-    """Diagonal until theta_z aligns, then line until theta_x aligns."""
-    if p.theta_z < GRID_MAX:
+def contact_type(theta_x: float, theta_z: float) -> ContactType:
+    """Diagonal until theta_z aligns, then line until theta_x aligns.
+
+    Any pose in (0, 90]^2 has a contact type, on the grid or not.
+    """
+    if not (0 < theta_x <= GRID_MAX and 0 < theta_z <= GRID_MAX):
+        raise ParameterError(f"pose ({theta_x}, {theta_z}) outside (0, {GRID_MAX}]^2")
+    if theta_z < GRID_MAX:
         return ContactType.DIAGONAL
-    if p.theta_x < GRID_MAX:
+    if theta_x < GRID_MAX:
         return ContactType.LINE
     return ContactType.IN_HOLE
 
@@ -338,7 +343,7 @@ def generate_demos(
             action = expert_action(pose)
             if action is None:
                 break
-            obs = sample_observation(m, contact_type(pose), rng)
+            obs = sample_observation(m, contact_type(pose.theta_x, pose.theta_z), rng)
             window.append(obs)
             demos.append(DemoPair(tuple(window), action))
             pose = step(pose, action)
@@ -366,7 +371,7 @@ def rollout(
     steps: list[EpisodeStep] = []
     success = False
     for _ in range(max_steps):
-        true_c = contact_type(pose)
+        true_c = contact_type(pose.theta_x, pose.theta_z)
         if true_c == ContactType.IN_HOLE:
             success = True
             break
@@ -379,7 +384,7 @@ def rollout(
         steps.append(EpisodeStep(true_c, obs, action, next_pose))
         pose = next_pose
     else:
-        success = contact_type(pose) == ContactType.IN_HOLE
+        success = contact_type(pose.theta_x, pose.theta_z) == ContactType.IN_HOLE
     return Episode(start, tuple(steps), success, int(seed))
 
 
@@ -398,41 +403,6 @@ def episode_to_dict(ep: Episode) -> dict:
         "success": ep.success,
         "seed": ep.seed,
     }
-
-
-def episode_from_dict(d: dict) -> Episode:
-    try:
-        steps = tuple(
-            EpisodeStep(
-                ContactType(t), ContactType(o), Action(a), PoseState(*pose)
-            )
-            for t, o, a, pose in d["steps"]
-        )
-        return Episode(PoseState(*d["start"]), steps, bool(d["success"]), int(d["seed"]))
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
-        raise DataError(f"malformed episode record: {exc}") from exc
-
-
-def write_episodes(episodes: Sequence[Episode], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for ep in episodes:
-            fh.write(json.dumps(episode_to_dict(ep), sort_keys=True) + "\n")
-    return path
-
-
-def read_episodes(path: str | Path) -> list[Episode]:
-    path = Path(path)
-    episodes = []
-    for i, line in enumerate(path.read_text().splitlines()):
-        if not line.strip():
-            continue
-        try:
-            episodes.append(episode_from_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
-    return episodes
 
 
 def write_demos(demos: Sequence[DemoPair], path: str | Path) -> Path:

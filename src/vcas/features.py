@@ -75,9 +75,6 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         return (self.first_bin + np.arange(self.magnitudes.size)) * self.bin_hz
 
-    def peak_frequency(self) -> float:
-        return float(self.frequencies[int(np.argmax(self.magnitudes))])
-
 
 def fft_magnitude(w: Waveform) -> Spectrum:
     """One-sided magnitude spectrum of a waveform.
@@ -135,23 +132,6 @@ def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
     if (norms == 0).any():
         raise DegenerateInputError(f"{name} contains an all-zero row")
     return rows / norms[:, None]
-
-
-def cosine_kernel(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Cosine similarity a.b / (|a||b|), in [-1, 1].
-
-    Two 1-D rows give a scalar; matrix inputs give the pairwise Gram
-    matrix between the rows of `a` and the rows of `b`.
-    """
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
-    scalar = a_arr.ndim == 1 and b_arr.ndim == 1
-    a_m = _as_matrix(a_arr, "a")
-    b_m = _as_matrix(b_arr, "b")
-    if a_m.shape[1] != b_m.shape[1]:
-        raise ParameterError(f"row length mismatch: {a_m.shape[1]} vs {b_m.shape[1]}")
-    gram = _unit_rows(a_m, "a") @ _unit_rows(b_m, "b").T
-    return float(gram[0, 0]) if scalar else gram
 
 
 @dataclass(frozen=True)

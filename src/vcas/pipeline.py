@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import plants
 from .container import PayloadKind, read_container, write_container
-from .envsim import PoseState, contact_type, expert_action
+from .envsim import CONTACT_LABELS, PoseState, contact_type, expert_action
 from .envsim import step as env_step
 from .errors import DataError, ParameterError
 from .features import (
@@ -97,6 +97,7 @@ class RunConfig:
 
     `train_per_class` / `test_per_class` count samples per class per
     session; None picks the task default (25/25, contact 250/200).
+    `train.seed` always equals `seed`.
     """
 
     task: str
@@ -109,14 +110,10 @@ class RunConfig:
     train_per_class: int | None = None
     test_per_class: int | None = None
     conditions: tuple[str, ...] | None = None
-    step_size: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 200
-    patience: int = 20
-    min_delta: float = 1e-4
-    validation_fraction: float = 0.1
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
         if self.task not in TASKS:
             raise ParameterError(f"unknown task {self.task!r}; use one of {TASKS}")
         if self.band not in BANDS:
@@ -166,17 +163,6 @@ class RunConfig:
     @property
     def band_hz(self) -> tuple[float, float]:
         return BANDS[self.band]
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            step_size=self.step_size,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            min_delta=self.min_delta,
-            validation_fraction=self.validation_fraction,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -304,14 +290,14 @@ def _contact_trajectory_poses() -> dict[str, list[PoseState]]:
         poses.append(pose)
     grouped: dict[str, list[PoseState]] = {}
     for p in poses:
-        grouped.setdefault(contact_type(p).label, []).append(p)
+        grouped.setdefault(contact_type(p.theta_x, p.theta_z).label, []).append(p)
     return grouped
 
 
 def _contact_jobs(
     cfg: RunConfig, preset: plants.ContactPreset
 ) -> tuple[tuple[str, ...], list[_Job]]:
-    names = tuple(sorted(plants.CONTACT_LABELS))
+    names = tuple(sorted(CONTACT_LABELS))
     name_idx = {n: i for i, n in enumerate(names)}
     conds = cfg.conditions_resolved
     class_poses = _contact_trajectory_poses()
@@ -434,7 +420,7 @@ def train_task(data: TaskData, cfg: RunConfig) -> TaskModels:
     emb_ds = Dataset(
         embeddings, train.targets, data.label_names, "train", train.session_ids
     )
-    mlp, history = mlp_train(emb_ds, cfg.train_config())
+    mlp, history = mlp_train(emb_ds, cfg.train)
     sessions = tuple(np.unique(train.session_ids).tolist())
     return TaskModels(
         data.task, cfg.band, cfg.n_components_resolved, kpca, mlp, sessions, history

@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .envsim import CONTACT_LABELS, contact_type
 from .errors import DataError, ParameterError
 from .signal import ModalPlant
 
 Modes = tuple[tuple[float, float, float], ...]
 
 TASKS = ("object", "grasp", "pose", "contact")
-CONTACT_LABELS = ("diagonal", "line", "in_hole")
 
 FREQ_JITTER_SIGMA = 0.002
 GAIN_JITTER_SIGMA = 0.05
@@ -206,17 +206,6 @@ def apply_jitter(modes: Modes, jitter: SessionJitter) -> Modes:
     return tuple(out)
 
 
-def contact_label_for(theta_x: float, theta_z: float) -> str:
-    """Contact label at a (possibly off-grid) pose."""
-    if not (0 < theta_x <= 90 and 0 < theta_z <= 90):
-        raise ParameterError(f"pose ({theta_x}, {theta_z}) outside (0, 90]^2")
-    if theta_z < 90.0:
-        return "diagonal"
-    if theta_x < 90.0:
-        return "line"
-    return "in_hole"
-
-
 def class_modes(preset: ClassBankPreset, name: str) -> Modes:
     if name not in preset.classes:
         raise ParameterError(f"unknown class {name!r} in {preset.task} preset")
@@ -238,7 +227,7 @@ def contact_modes(
     preset: ContactPreset, theta_x: float, theta_z: float
 ) -> tuple[Modes, str]:
     """Mode bank and contact label at a peg pose."""
-    label = contact_label_for(theta_x, theta_z)
+    label = contact_type(theta_x, theta_z).label
     ref_x, ref_z = CONTACT_REFERENCE_POSE
     zs = preset.damping_scale[label]
     gs = preset.gain_scale[label]

@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import PayloadKind, read_container, write_container
+# Unused here, but perfbench/tracer.py patches these names in this module,
+# so they stay importable until its SITES table is retired.
+from .container import read_container, write_container  # noqa: F401
 from .envsim import (
     ACTION_LABELS,
     Action,
@@ -32,14 +34,16 @@ from .envsim import (
     rollout,
     start_pose_sampler,
 )
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .learn import (
     MlpModel,
     TrainConfig,
     TrainingHistory,
     dataset_from_labels,
+    load_mlp,
     mlp_forward,
     mlp_train,
+    save_mlp,
 )
 
 # One-hot vocabulary per window slot: no-observation pad, then the
@@ -259,24 +263,12 @@ def write_eval_report_json(report: EvalReport, path: str | Path) -> Path:
 
 
 def save_policy(model: PolicyModel, path: str | Path) -> Path:
-    arrays: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(model.net.weights, model.net.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    meta = {
-        "n_layers": len(model.net.weights),
-        "window_length": model.window_length,
-    }
-    return write_container(path, PayloadKind.POLICY_MODEL, arrays, meta)
+    """Write the policy as an MLP file whose metadata holds window_length."""
+    return save_mlp(model.net, path, {"window_length": model.window_length})
 
 
 def load_policy(path: str | Path) -> PolicyModel:
-    _, arrays, meta = read_container(path, expect_kind=PayloadKind.POLICY_MODEL)
-    n = int(meta["n_layers"])
-    net = MlpModel(
-        weights=[arrays[f"w{i}"] for i in range(n)],
-        biases=[arrays[f"b{i}"] for i in range(n)],
-        head="softmax",
-        label_names=ACTION_LABELS,
-    )
+    net, meta = load_mlp(path)
+    if "window_length" not in meta:
+        raise DataError(f"{path} is an MLP file without window_length, not a policy")
     return PolicyModel(net, int(meta["window_length"]))

@@ -3,17 +3,19 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vcas.cli
-from vcas.cli import build_parser, main, parse_kv_text, run_config_from_args
+from vcas.cli import build_parser, config_from_args, main, parse_kv_text
+from vcas.container import write_container
 from vcas.envsim import ObservationModel, observation_model_to_csv
 from vcas.errors import NumericalError, ParameterError
 from vcas.features import load_kpca, save_kpca
+from vcas.learn import TrainConfig
 from vcas.pipeline import read_dataset, write_dataset
 
 TINY_GRASP = [
@@ -59,7 +61,7 @@ def test_config_precedence_file_then_set_then_flags(tmp_path):
             "--set", "train_per_class=9", "--seed", "3",
         ]
     )
-    cfg = run_config_from_args(args)
+    cfg = config_from_args(args)
     assert cfg.task == "grasp"
     assert cfg.band == "low"  # from file, no override
     assert cfg.train_per_class == 9  # --set beats the file
@@ -70,14 +72,14 @@ def test_unknown_config_key_is_rejected():
     parser = build_parser()
     args = parser.parse_args(["synth-data", "--task", "object", "--set", "depth=3"])
     with pytest.raises(ParameterError, match="depth"):
-        run_config_from_args(args)
+        config_from_args(args)
 
 
 def test_task_is_required():
     parser = build_parser()
     args = parser.parse_args(["synth-data"])
     with pytest.raises(ParameterError, match="task"):
-        run_config_from_args(args)
+        config_from_args(args)
 
 
 def test_conditions_parse_from_kv():
@@ -85,7 +87,51 @@ def test_conditions_parse_from_kv():
     args = parser.parse_args(
         ["synth-data", "--task", "pose", "--set", "conditions=in_distribution"]
     )
-    assert run_config_from_args(args).conditions == ("in_distribution",)
+    assert config_from_args(args).conditions == ("in_distribution",)
+
+
+# A non-default value for every TrainConfig field.
+TRAIN_SETTINGS = {
+    "step_size": 0.01,
+    "batch_size": 8,
+    "max_epochs": 7,
+    "patience": 3,
+    "min_delta": 0.001,
+    "validation_fraction": 0.2,
+    "seed": 5,
+}
+
+
+def test_every_train_config_field_is_a_config_key():
+    assert set(TRAIN_SETTINGS) == {f.name for f in fields(TrainConfig)}
+    sets = [a for k, v in TRAIN_SETTINGS.items() for a in ("--set", f"{k}={v}")]
+    parser = build_parser()
+    for argv in (["train", "--task", "grasp", *sets], ["sim", "train-policy", *sets]):
+        assert config_from_args(parser.parse_args(argv)).train == TrainConfig(
+            **TRAIN_SETTINGS
+        )
+
+
+def test_epochs_flag_sets_max_epochs():
+    args = build_parser().parse_args(["sim", "train-policy", "--epochs", "4"])
+    assert config_from_args(args).train == TrainConfig(max_epochs=4)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth-data", "--task", "grasp"],
+        ["train", "--task", "grasp"],
+        ["sim", "demos"],
+        ["sim", "train-policy"],
+        ["sim", "eval-policy"],
+        ["sim", "rollout"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_exits_1(command, tmp_path, capsys):
+    assert main([*command, "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
 
 # ------------------------------------------------------------ workflow
@@ -356,6 +402,41 @@ def test_sim_rollout_with_csv_observation_model(sim_workspace, tmp_path, capsys)
     assert rc == 0
     capsys.readouterr()
     assert (tmp_path / "sim" / "rollout.json").exists()
+
+
+def test_sim_train_policy_defaults_to_train_config(sim_workspace, monkeypatch):
+    class Recorded(Exception):
+        pass
+
+    def record(demos, cfg):
+        raise Recorded(cfg)
+
+    monkeypatch.setattr(vcas.cli, "policy_train", record)
+    with pytest.raises(Recorded) as caught:
+        main(["sim", "train-policy", "--out", str(sim_workspace)])
+    assert caught.value.args[0] == TrainConfig()
+
+
+def test_sim_train_policy_unknown_key_exits_1(sim_workspace, capsys):
+    argv = ["sim", "train-policy", "--set", "depth=3", "--out", str(sim_workspace)]
+    assert main(argv) == 1
+    assert "depth" in capsys.readouterr().err
+
+
+def test_sim_eval_policy_rejects_a_recognition_mlp(workspace, tmp_path, capsys):
+    mlp = workspace / "grasp" / "models" / "mlp_full.vcas"
+    assert main(["sim", "eval-policy", "--policy", str(mlp), "--out", str(tmp_path)]) == 2
+    assert "window_length" in capsys.readouterr().err
+
+
+def test_sim_eval_policy_rejects_a_policy_file_of_the_retired_kind(tmp_path, capsys):
+    # Policies used to be their own payload kind, tag 6, with this layout.
+    arrays = {"w0": np.zeros((40, 2)), "b0": np.zeros(2)}
+    path = write_container(
+        tmp_path / "policy.vcas", 6, arrays, {"n_layers": 1, "window_length": 10}
+    )
+    assert main(["sim", "eval-policy", "--policy", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown payload kind 6" in capsys.readouterr().err
 
 
 def test_sim_demos_zero_episodes_exits_1(tmp_path):

@@ -105,7 +105,7 @@ def test_expect_kind_mismatch(tmp_path):
         tmp_path / "x.vcas", PayloadKind.MLP_MODEL, {"x": np.ones(2)}, {}
     )
     with pytest.raises(DataError):
-        read_container(path, expect_kind=PayloadKind.POLICY_MODEL)
+        read_container(path, expect_kind=PayloadKind.KPCA_MODEL)
 
 
 def test_unknown_payload_kind_rejected(tmp_path):

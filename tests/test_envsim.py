@@ -18,7 +18,6 @@ from vcas.envsim import (
     PoseState,
     blank_window,
     contact_type,
-    episode_from_dict,
     episode_to_dict,
     expert_action,
     expert_path_length,
@@ -29,13 +28,11 @@ from vcas.envsim import (
     observation_model_from_csv,
     observation_model_to_csv,
     read_demos,
-    read_episodes,
     rollout,
     sample_observation,
     start_pose_sampler,
     step,
     write_demos,
-    write_episodes,
 )
 from vcas.errors import DataError, ParameterError
 from vcas.learn import ConfusionMatrix
@@ -72,23 +69,33 @@ def test_grid_has_400_poses_row_major():
 
 
 def test_contact_partition_counts():
-    kinds = [contact_type(p) for p in grid_poses()]
+    kinds = [contact_type(p.theta_x, p.theta_z) for p in grid_poses()]
     assert kinds.count(ContactType.IN_HOLE) == 1
     assert kinds.count(ContactType.LINE) == 19
     assert kinds.count(ContactType.DIAGONAL) == 380
 
 
 def test_contact_examples():
-    assert contact_type(PoseState(45.0, 45.0)) == ContactType.DIAGONAL
-    assert contact_type(PoseState(58.5, 90.0)) == ContactType.LINE
-    assert contact_type(PoseState(90.0, 90.0)) == ContactType.IN_HOLE
+    assert contact_type(45.0, 45.0) == ContactType.DIAGONAL
+    assert contact_type(58.5, 90.0) == ContactType.LINE
+    assert contact_type(90.0, 90.0) == ContactType.IN_HOLE
+
+
+def test_contact_type_off_grid_and_out_of_range():
+    assert contact_type(40.5, 9.0) == ContactType.DIAGONAL
+    assert contact_type(47.3, 90.0) == ContactType.LINE
+    with pytest.raises(ParameterError):
+        contact_type(0.0, 45.0)
+    with pytest.raises(ParameterError):
+        contact_type(45.0, 94.5)
 
 
 def test_step_examples():
     assert step(PoseState(45.0, 45.0), Action.ROT_Z) == PoseState(45.0, 49.5)
     assert step(PoseState(90.0, 90.0), Action.ROT_X) == PoseState(90.0, 90.0)
     assert step(PoseState(90.0, 90.0), Action.ROT_Z) == PoseState(90.0, 90.0)
-    assert contact_type(step(PoseState(85.5, 90.0), Action.ROT_X)) == ContactType.IN_HOLE
+    aligned = step(PoseState(85.5, 90.0), Action.ROT_X)
+    assert contact_type(aligned.theta_x, aligned.theta_z) == ContactType.IN_HOLE
 
 
 def test_expert_action_examples():
@@ -343,28 +350,15 @@ def test_start_sampler_unknown_regime():
 # -------------------------------------------------------------- files
 
 
-def test_episode_jsonl_round_trip(tmp_path):
-    m = ObservationModel.default(0.9)
-    eps = [
-        rollout(expert_policy, PoseState(45.0, 45.0), m, seed=s) for s in range(3)
-    ]
-    path = write_episodes(eps, tmp_path / "eps.jsonl")
-    assert read_episodes(path) == eps
-
-
-def test_episode_dict_round_trip():
+def test_episode_to_dict_layout():
     ep = rollout(expert_policy, PoseState(85.5, 90.0), IDENTITY, seed=3)
-    assert episode_from_dict(episode_to_dict(ep)) == ep
-
-
-def test_episode_jsonl_diagnostics(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"start": [45.0, 45.0]}\n')
-    with pytest.raises(DataError, match="episode"):
-        read_episodes(path)
-    path.write_text("not json\n")
-    with pytest.raises(DataError, match="1"):
-        read_episodes(path)
+    assert episode_to_dict(ep) == {
+        "start": [85.5, 90.0],
+        # true contact, observed contact, action, next pose
+        "steps": [[ContactType.LINE, ContactType.LINE, Action.ROT_X, [90.0, 90.0]]],
+        "success": True,
+        "seed": 3,
+    }
 
 
 def test_demo_jsonl_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from vcas.errors import DataError, DegenerateInputError, ParameterError
 from vcas.features import (
     Spectrum,
     band_select,
-    cosine_kernel,
     fft_magnitude,
     kpca_fit,
     kpca_fit_transform,
@@ -101,7 +100,7 @@ def test_band_split_concatenation_is_exact(split_frac, n):
 def test_spectrum_frequencies_and_peak():
     s = Spectrum(np.array([0.0, 3.0, 1.0]), 2.0, first_bin=5)
     assert np.array_equal(s.frequencies, [10.0, 12.0, 14.0])
-    assert s.peak_frequency() == 12.0
+    assert s.frequencies[np.argmax(s.magnitudes)] == 12.0
 
 
 def test_spectrum_rejects_negative_magnitudes():
@@ -110,35 +109,24 @@ def test_spectrum_rejects_negative_magnitudes():
 
 
 # --------------------------------------------------------- cosine kernel
-
-
-def test_cosine_kernel_self_similarity_is_one():
-    x = np.array([1.0, 2.0, 3.0])
-    assert cosine_kernel(x, x) == pytest.approx(1.0)
+# The kernel is only reachable through the kPCA fit and projection.
 
 
 def test_cosine_kernel_scale_invariance():
-    x = np.array([1.0, 2.0, 3.0])
-    assert cosine_kernel(x, 2.0 * x) == pytest.approx(1.0)
-
-
-def test_cosine_kernel_orthogonal_rows():
-    assert cosine_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    rng = np.random.default_rng(1)
+    rows = np.abs(rng.normal(size=(8, 5))) + 0.1
+    model = kpca_fit(rows, 3)
+    x = rng.normal(size=(4, 5))
+    assert np.array_equal(kpca_transform(model, 2.0 * x), kpca_transform(model, x))
 
 
 def test_cosine_kernel_zero_row_rejected():
+    rows = np.abs(np.random.default_rng(2).normal(size=(6, 3))) + 0.1
+    model = kpca_fit(rows, 2)
     with pytest.raises(DegenerateInputError):
-        cosine_kernel(np.zeros(3), np.ones(3))
-
-
-def test_cosine_kernel_matrix_bounds():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(8, 5))
-    k = cosine_kernel(a, a)
-    assert k.shape == (8, 8)
-    assert np.all(k <= 1.0 + 1e-12)
-    assert np.all(k >= -1.0 - 1e-12)
-    assert np.allclose(np.diag(k), 1.0)
+        kpca_fit_transform(np.vstack([rows, np.zeros(3)]), 2)
+    with pytest.raises(DegenerateInputError):
+        kpca_transform(model, np.zeros(3))
 
 
 # ----------------------------------------------------------------- kpca

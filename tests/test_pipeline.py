@@ -5,7 +5,7 @@ import pytest
 
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, ParameterError
-from vcas.learn import Dataset
+from vcas.learn import Dataset, TrainConfig
 from vcas.pipeline import (
     BANDS,
     CONDITIONS_DEFAULT,
@@ -31,7 +31,7 @@ def tiny_grasp_config(seed=0, **overrides):
     base = dict(
         task="grasp", sessions_train=2, sessions_test=1,
         train_per_class=2, test_per_class=2, n_components=3,
-        max_epochs=3, seed=seed,
+        train=TrainConfig(max_epochs=3), seed=seed,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -78,11 +78,13 @@ def test_run_config_resolved_defaults():
 
 
 def test_train_config_inherits_optimizer_settings():
-    cfg = RunConfig(task="object", step_size=5e-4, batch_size=16, seed=3)
-    tc = cfg.train_config()
-    assert tc.step_size == 5e-4
-    assert tc.batch_size == 16
-    assert tc.seed == 3
+    tc = TrainConfig(step_size=5e-4, batch_size=16)
+    cfg = RunConfig(task="object", train=tc, seed=3)
+    assert cfg.train == TrainConfig(step_size=5e-4, batch_size=16, seed=3)
+
+
+def test_run_config_trains_with_train_config_defaults():
+    assert RunConfig(task="grasp", seed=7).train == TrainConfig(seed=7)
 
 
 def test_preset_task_mismatch_is_rejected():
@@ -145,7 +147,7 @@ def test_pose_synthesis_regression_targets():
     cfg = RunConfig(
         task="pose", sessions_train=1, sessions_test=1,
         train_per_class=1, test_per_class=1,
-        conditions=("in_distribution",), max_epochs=2, seed=0,
+        conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
     data = synth_task_data(cfg)
     assert data.label_names is None
@@ -158,7 +160,7 @@ def test_contact_synthesis_tiny():
     cfg = RunConfig(
         task="contact", sessions_train=1, sessions_test=1,
         train_per_class=5, test_per_class=4,
-        conditions=("in_distribution",), max_epochs=2, seed=0,
+        conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
     data = synth_task_data(cfg)
     assert data.label_names == ("diagonal", "in_hole", "line")

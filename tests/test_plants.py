@@ -14,7 +14,6 @@ from vcas.plants import (
     apply_jitter,
     build_plant,
     class_modes,
-    contact_label_for,
     contact_modes,
     default_preset_path,
     draw_session_jitter,
@@ -198,14 +197,10 @@ def test_apply_jitter_clamps():
 
 
 def test_contact_label_examples():
-    assert contact_label_for(45.0, 45.0) == "diagonal"
-    assert contact_label_for(58.5, 90.0) == "line"
-    assert contact_label_for(90.0, 90.0) == "in_hole"
-    assert contact_label_for(40.5, 9.0) == "diagonal"  # off-grid is fine
-    with pytest.raises(ParameterError):
-        contact_label_for(0.0, 45.0)
-    with pytest.raises(ParameterError):
-        contact_label_for(45.0, 94.5)
+    preset = load_preset("contact")
+    assert contact_modes(preset, 45.0, 45.0)[1] == "diagonal"
+    assert contact_modes(preset, 58.5, 90.0)[1] == "line"
+    assert contact_modes(preset, 90.0, 90.0)[1] == "in_hole"
 
 
 def test_class_modes_lookup():

@@ -18,7 +18,7 @@ from vcas.envsim import (
     rollout,
 )
 from vcas.errors import ParameterError
-from vcas.learn import MlpModel, TrainConfig, mlp_loss
+from vcas.learn import MlpModel, TrainConfig, load_mlp, mlp_loss
 from vcas.policy import (
     TOKEN_COUNT,
     EvalReport,
@@ -289,7 +289,9 @@ def test_eval_report_json(tmp_path):
 
 def test_policy_save_load_round_trip(tmp_path, trained):
     model, _, _ = trained
-    loaded = load_policy(save_policy(model, tmp_path / "p.vcas"))
+    path = save_policy(model, tmp_path / "p.vcas")
+    assert load_mlp(path)[1]["window_length"] == model.window_length
+    loaded = load_policy(path)
     assert loaded.window_length == model.window_length
     window = (None,) * 9 + (ContactType.DIAGONAL,)
     assert policy_act(model, window) == policy_act(loaded, window)
