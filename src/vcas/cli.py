@@ -48,6 +48,7 @@ from .pipeline import (
     RunConfig,
     SplitData,
     TaskData,
+    TaskEval,
     TaskModels,
     dataset_path,
     eval_task,
@@ -314,6 +315,15 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     ]
 
 
+def _test_data(task: str, condition: str, path: Path) -> TaskData:
+    """One condition's test file as TaskData, carrying the file's bin width."""
+    test_ds, meta = read_dataset(path)
+    return TaskData(
+        task, float(meta["bin_hz"]), test_ds.label_names,
+        {condition: SplitData(test=test_ds)},
+    )
+
+
 def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     """Score persisted models on every condition found on disk."""
     mdir = Path(out_dir) / cfg.task / "models"
@@ -333,25 +343,6 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     if "train_sessions" not in kpca_meta:
         raise DataError(f"{kpca_path} lists no training sessions; rerun train")
 
-    # The test files carry the bin width and label names; the training
-    # sessions come from the kPCA metadata, so the train file is not read.
-    conditions: dict[str, SplitData] = {}
-    bin_hz = None
-    label_names = None
-    for cond in cfg.conditions_resolved:
-        test_path = dataset_path(out_dir, cfg.task, cond, "test")
-        if not test_path.exists():
-            if cond == "in_distribution":
-                raise DataError(
-                    f"no test data at {test_path}; run synth-data first"
-                )
-            continue
-        test_ds, meta = read_dataset(test_path)
-        bin_hz = float(meta["bin_hz"])
-        label_names = test_ds.label_names
-        conditions[cond] = SplitData(test=test_ds)
-
-    data = TaskData(cfg.task, bin_hz, label_names, conditions)
     models = TaskModels(
         cfg.task,
         cfg.band,
@@ -360,7 +351,27 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         mlp,
         tuple(kpca_meta["train_sessions"]),
     )
-    ev = eval_task(models, data)
+    # Conditions are read and scored one at a time, in eval_task's sorted
+    # order, so eval holds one test file at once.  The training sessions
+    # come from the kPCA metadata, so the train file is not read.
+    rows: list[dict] = []
+    confusions: dict = {}
+    regressions: dict = {}
+    for cond in sorted(cfg.conditions_resolved):
+        test_path = dataset_path(out_dir, cfg.task, cond, "test")
+        if not test_path.exists():
+            if cond == "in_distribution":
+                raise DataError(
+                    f"no test data at {test_path}; run synth-data first"
+                )
+            continue
+        scored = eval_task(models, _test_data(cfg.task, cond, test_path))
+        rows += scored.rows
+        confusions.update(scored.confusions)
+        regressions.update(scored.regressions)
+    ev = TaskEval(
+        cfg.task, cfg.band, kpca.n_components, tuple(rows), confusions, regressions
+    )
 
     edir = Path(out_dir) / cfg.task / "eval"
     written = [write_json(metrics_to_dict(ev), edir / f"metrics_{cfg.band}.json")]

@@ -76,15 +76,33 @@ class Spectrum:
         return (self.first_bin + np.arange(self.magnitudes.size)) * self.bin_hz
 
 
-def fft_magnitude(w: Waveform) -> Spectrum:
-    """One-sided magnitude spectrum of a waveform.
+def fft_magnitude(
+    w: Waveform | np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> Spectrum | np.ndarray:
+    """One-sided magnitude spectrum of a waveform, or of each row of a batch.
 
     Keeps DC through Nyquist (N//2 + 1 bins for even N), so no energy
-    is dropped.
+    is dropped.  A Waveform gives a Spectrum.  A 2-D array of samples,
+    one signal per row, gives one |rfft| row per signal, written into
+    `out` when it is given; each row is bit-identical to the 1-D call.
+    `scratch`, a complex array shaped like the result, receives the
+    complex spectrum, so a caller that loops allocates it once.
     """
-    mags = np.abs(np.fft.rfft(w.samples))
-    bin_hz = w.sample_rate / len(w)
-    return Spectrum(mags, bin_hz=bin_hz, first_bin=0)
+    if isinstance(w, Waveform):
+        mags = fft_magnitude(w.samples[None])[0]
+        return Spectrum(mags, bin_hz=w.sample_rate / len(w), first_bin=0)
+    # The DC bin sums every sample, so a non-finite sample makes the
+    # spectrum non-finite too: one check covers both, and it raises in
+    # place of numpy's overflow and invalid-value warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(np.fft.rfft(w, axis=1, out=scratch), out=out)
+    if not np.isfinite(mags).all():
+        if not np.isfinite(w).all():
+            raise ParameterError("waveform samples must be finite")
+        raise ParameterError("spectrum magnitudes must be finite")
+    return mags
 
 
 def band_select(s: Spectrum, f_low: float, f_high: float) -> Spectrum:

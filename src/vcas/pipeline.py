@@ -4,8 +4,9 @@ A run is described by a RunConfig (task, band, component count, session
 layout, seeds).  Synthesis lists one job per (session, class/pose):
 a plant, its target and its noise seeds.  One loop drives every job's
 plant through the standard chirp in a single batched modal_response
-call, then stamps out samples by re-seeding only the additive noise, so
-datasets are cheap and bit reproducible.  Training chains band
+call, then stamps out samples by re-seeding only the additive noise, in
+chunks of up to four rows spread over a thread pool, so datasets are
+cheap and bit reproducible whatever the CPU count.  Training chains band
 selection, kernel PCA, and the MLP; evaluation emits per-condition
 metric rows shaped like the tables the report command consumes.
 """
@@ -13,6 +14,8 @@ metric rows shaped like the tables the report command consumes.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,7 +49,6 @@ from .learn import (
 )
 from .signal import (
     ModalPlant,
-    Waveform,
     apply_noise,
     default_chirp_spec,
     generate_chirp,
@@ -186,7 +188,7 @@ class TaskData:
 
 
 class _DatasetBuilder:
-    """Row collector for one (condition, split), sized from its jobs."""
+    """Row storage for one (condition, split), sized from its jobs."""
 
     def __init__(self, n_rows: int, n_bins: int, classification: bool):
         self.rows = np.empty((n_rows, n_bins))
@@ -194,11 +196,13 @@ class _DatasetBuilder:
         self.sessions = np.empty(n_rows, dtype=np.int64)
         self._fill = 0
 
-    def add(self, row: np.ndarray, target, session_id: int) -> None:
-        self.rows[self._fill] = row
-        self.targets[self._fill] = target
-        self.sessions[self._fill] = session_id
-        self._fill += 1
+    def claim(self, n: int, target, session_id: int) -> np.ndarray:
+        """Label the next `n` rows and return them, to be filled in place."""
+        sl = slice(self._fill, self._fill + n)
+        self.targets[sl] = target
+        self.sessions[sl] = session_id
+        self._fill += n
+        return self.rows[sl]
 
     def dataset(self, label_names, split_tag: str) -> Dataset:
         return Dataset(self.rows, self.targets, label_names, split_tag, self.sessions)
@@ -365,11 +369,15 @@ def synth_task_data(cfg: RunConfig) -> TaskData:
         for role, n in n_rows.items()
     }
     clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
+    chunks = []
     for (role, plant, target, sid, seeds), response in zip(jobs, clean):
-        for s in seeds:
-            noisy = apply_noise(response, plant.noise_snr_db, int(s))
-            spectrum = fft_magnitude(Waveform(noisy, chirp.sample_rate))
-            builders[role].add(spectrum.magnitudes, target, sid)
+        rows = builders[role].claim(seeds.size, target, sid)
+        for i in range(0, seeds.size, _CHUNK_ROWS):
+            chunks.append(
+                (response, plant.noise_snr_db, seeds[i : i + _CHUNK_ROWS],
+                 rows[i : i + _CHUNK_ROWS])
+            )
+    _fill_spectra(chunks, len(chirp))
 
     conditions = {
         "in_distribution": SplitData(
@@ -380,6 +388,48 @@ def synth_task_data(cfg: RunConfig) -> TaskData:
     for cond, builder in builders.items():
         conditions[cond] = SplitData(None, builder.dataset(names, "test"))
     return TaskData(cfg.task, chirp.sample_rate / len(chirp), names, conditions)
+
+
+# Spectra are made in chunks of up to this many rows of one job: one
+# noise matrix and one 2-D rfft per chunk.
+_CHUNK_ROWS = 4
+
+
+def _fill_spectra(chunks: list, n_samples: int) -> None:
+    """Write each (clean, snr_db, seeds, rows) chunk's noisy |rfft| rows.
+
+    Chunks go to a thread pool sized by the CPUs this process may use;
+    numpy's random fills and rfft release the GIL.  Each chunk writes
+    only its own rows, so the result does not depend on the pool size.
+    """
+    todo = iter(chunks)
+    lock = threading.Lock()
+
+    def work() -> None:
+        noisy = np.empty((_CHUNK_ROWS, n_samples))
+        spectrum = np.empty((_CHUNK_ROWS, n_samples // 2 + 1), dtype=np.complex128)
+        while True:
+            with lock:
+                chunk = next(todo, None)
+            if chunk is None:
+                return
+            clean, snr_db, seeds, rows = chunk
+            k = seeds.size
+            apply_noise(clean, snr_db, seeds, out=noisy[:k])
+            fft_magnitude(noisy[:k], out=rows, scratch=spectrum[:k])
+
+    # Imported here: concurrent.futures pulls in logging, about 10 ms of
+    # start-up that commands other than synth-data would pay for nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without CPU affinity (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    n_workers = min(cpus, len(chunks))
+    with ThreadPoolExecutor(n_workers) as pool:
+        for done in [pool.submit(work) for _ in range(n_workers)]:
+            done.result()
 
 
 def band_slice_for(bin_hz: float, n_bins: int, band: str) -> slice:

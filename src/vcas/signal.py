@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -247,12 +246,31 @@ def noise_std_for_snr(clean: np.ndarray, snr_db: float) -> float:
     return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
 
 
-def apply_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
+def apply_noise(
+    clean: np.ndarray,
+    snr_db: float,
+    seed: int | np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """`clean` plus white noise at `snr_db`, drawn from `default_rng(seed)`.
+
+    One seed gives one noisy copy of `clean`.  A 1-D array of seeds gives
+    one row per seed, written into `out` (len(seeds) x clean.size) when
+    it is given.  The noise std is derived once per call; each row is
+    bit-identical to `clean + default_rng(s).normal(0, std, clean.size)`.
+    """
+    seeds = np.atleast_1d(seed)
+    if out is None:
+        out = np.empty((seeds.size, clean.size))
     std = noise_std_for_snr(clean, snr_db)
     if std == 0.0:
-        return clean.copy()
-    rng = np.random.default_rng(seed)
-    return clean + rng.normal(0.0, std, clean.size)
+        out[:] = clean
+    else:
+        for row, s in zip(out, seeds):
+            np.random.default_rng(int(s)).standard_normal(out=row)
+            row *= std
+            row += clean
+    return out if np.ndim(seed) else out[0]
 
 
 def synth_response(plant: ModalPlant, excitation: Waveform, seed: int) -> Waveform:
@@ -283,15 +301,3 @@ def detect_contact(
         return ContactEvent(detected=False, sample_index=None, false_positive=False)
     idx = int(np.argmax(hits))
     return ContactEvent(detected=True, sample_index=idx, false_positive=idx < debounce)
-
-
-def write_waveform_csv(w: Waveform, path: str | Path) -> Path:
-    """One sample per row, for quick inspection."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write("sample\n")
-        for v in w.samples:
-            fh.write(f"{float(v)!r}\n")
-    return path
-

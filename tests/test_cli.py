@@ -320,6 +320,26 @@ def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
     assert peak <= bound, f"eval peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
+    args = ["synth-data", "--task", "grasp", "--set", "train_per_class=5",
+            "--set", "test_per_class=5", "--out", str(tmp_path)]
+    bare, peak = _peak_rss(
+        ["-c", "import vcas.cli"], ["-c", "from vcas.cli import run; run()", *args]
+    )
+    written = sum(p.stat().st_size for p in (tmp_path / "grasp" / "data").glob("*.vcas"))
+    # Beyond the rows it writes, synth-data holds one clean response per
+    # job (18 x 42,000 samples, 6 MB) and the modal filter's block
+    # buffers; each pool worker adds its 4-row noise buffer and complex
+    # spectrum (2.7 MB).  None of these grows with the rows per job.
+    workers = os.cpu_count()  # at least the pool's size
+    slack = 12 * 2**20 + workers * 4 * 42000 * 16
+    bound = bare + written + slack
+    assert peak <= bound, (
+        f"synth-data peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+    )
+
+
 def test_numerical_error_exits_3(monkeypatch, tmp_path):
     def diverge(args, out_dir):
         raise NumericalError("loss is NaN")

@@ -50,6 +50,28 @@ def test_fft_bin_spacing():
     assert len(s) == 21001
 
 
+def test_fft_batch_rows_equal_the_single_waveform_call():
+    samples = np.random.default_rng(2).normal(size=(5, 4200))
+    out = np.empty((5, 2101))
+    scratch = np.empty((5, 2101), dtype=np.complex128)
+    mags = fft_magnitude(samples, out=out, scratch=scratch)
+    assert mags is out
+    for row, x in zip(out, samples):
+        want = fft_magnitude(Waveform(x, 44100.0)).magnitudes
+        assert row.tobytes() == want.tobytes()
+        assert row.tobytes() == np.abs(np.fft.rfft(x)).tobytes()
+
+
+def test_fft_batch_rejects_non_finite_samples_and_spectra():
+    samples = np.zeros((2, 64))
+    samples[1, 5] = np.inf
+    with pytest.raises(ParameterError, match="waveform samples must be finite"):
+        fft_magnitude(samples)
+    # Finite samples whose sum overflows: the spectrum is what is non-finite.
+    with pytest.raises(ParameterError, match="spectrum magnitudes must be finite"):
+        fft_magnitude(np.full((1, 8), 1e308))
+
+
 # ---------------------------------------------------------- band_select
 
 

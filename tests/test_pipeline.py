@@ -1,8 +1,10 @@
+import concurrent.futures
 import json
 
 import numpy as np
 import pytest
 
+import vcas.pipeline
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, ParameterError
 from vcas.learn import Dataset, TrainConfig
@@ -24,6 +26,13 @@ from vcas.pipeline import (
     train_task,
     write_dataset,
     write_json,
+)
+from vcas.signal import (
+    ModalPlant,
+    default_chirp_spec,
+    generate_chirp,
+    modal_response,
+    noise_std_for_snr,
 )
 
 
@@ -169,6 +178,88 @@ def test_contact_synthesis_tiny():
     assert len(split.test) == 12
     counts = np.bincount(split.train.targets, minlength=3)
     assert counts.tolist() == [5, 5, 5]
+
+
+# Jobs of 1, 3, 4, 5 and 9 seeds straddle the 4-row chunk edges; the
+# last job's plant is noise-free.
+_JOB_SEEDS = {"train": (1, 3, 4, 5), "test": (9, 2)}
+
+
+def _fixed_jobs(cfg, preset):
+    jobs = []
+    for role, sizes in _JOB_SEEDS.items():
+        for size in sizes:
+            i = len(jobs)
+            snr = np.inf if role == "test" and size == 2 else 20.0
+            plant = ModalPlant(((400.0 + 700.0 * i, 0.01, 1.0),), snr)
+            seeds = np.arange(100 * i, 100 * i + size, dtype=np.uint32)
+            jobs.append((role, plant, i % 3, 10 + i, seeds))
+    return ("base", "middle", "tip"), jobs
+
+
+def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
+    monkeypatch.setattr(vcas.pipeline, "_class_bank_jobs", _fixed_jobs)
+    data = synth_task_data(RunConfig(task="grasp", conditions=("in_distribution",)))
+    _, jobs = _fixed_jobs(None, None)
+    chirp = generate_chirp(default_chirp_spec())
+    clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
+    want = {"train": ([], [], []), "test": ([], [], [])}
+    for (role, plant, target, sid, seeds), c in zip(jobs, clean):
+        std = noise_std_for_snr(c, plant.noise_snr_db)
+        for s in seeds:
+            noisy = c + np.random.default_rng(int(s)).normal(0.0, std, c.size)
+            want[role][0].append(np.abs(np.fft.rfft(noisy)))
+            want[role][1].append(target)
+            want[role][2].append(sid)
+    split = data.conditions["in_distribution"]
+    for role, got in (("train", split.train), ("test", split.test)):
+        rows, targets, sessions = want[role]
+        assert got.rows.tobytes() == np.array(rows).tobytes()
+        assert got.targets.tolist() == targets
+        assert got.session_ids.tolist() == sessions
+
+
+def test_synthesis_is_the_same_with_one_worker_or_four(monkeypatch):
+    pools = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(n_workers):
+        pools.append(n_workers)
+        return real_pool(n_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    cfg = tiny_grasp_config(train_per_class=9, test_per_class=5)
+    runs = []
+    for n_cpus in (1, 4):
+        monkeypatch.setattr(
+            vcas.pipeline.os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)),
+            raising=False,
+        )
+        runs.append(synth_task_data(cfg))
+    assert pools == [1, 4]
+    one, four = runs
+    for cond, split in one.conditions.items():
+        for side in ("train", "test"):
+            a, b = getattr(split, side), getattr(four.conditions[cond], side)
+            if a is None:
+                assert b is None
+                continue
+            assert a.rows.tobytes() == b.rows.tobytes()
+            assert a.targets.tobytes() == b.targets.tobytes()
+            assert a.session_ids.tobytes() == b.session_ids.tobytes()
+
+
+def test_non_finite_noisy_chunk_in_a_worker_raises_parameter_error(monkeypatch):
+    real_response = vcas.pipeline.modal_response
+
+    def response_with_a_nan(plants, excitation):
+        out = real_response(plants, excitation)
+        out[-1, 100] = np.nan
+        return out
+
+    monkeypatch.setattr(vcas.pipeline, "modal_response", response_with_a_nan)
+    with pytest.raises(ParameterError, match="waveform samples must be finite"):
+        synth_task_data(tiny_grasp_config())
 
 
 # ------------------------------------------------------------ training

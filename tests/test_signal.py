@@ -23,7 +23,6 @@ from vcas.signal import (
     noise_std_for_snr,
     synth_response,
     _resonator_coeffs,
-    write_waveform_csv,
 )
 
 
@@ -222,6 +221,19 @@ def test_apply_noise_seeded_determinism():
     assert a.tobytes() != c.tobytes()
 
 
+def test_apply_noise_writes_one_row_per_seed():
+    clean = np.linspace(-1, 1, 1000)
+    seeds = np.array([4, 9, 10], dtype=np.uint32)
+    out = np.empty((3, 1000))
+    assert apply_noise(clean, 20.0, seeds, out=out) is out
+    std = noise_std_for_snr(clean, 20.0)
+    for row, s in zip(out, seeds):
+        want = clean + np.random.default_rng(int(s)).normal(0.0, std, clean.size)
+        assert row.tobytes() == want.tobytes()
+        assert row.tobytes() == apply_noise(clean, 20.0, int(s)).tobytes()
+    assert np.array_equal(apply_noise(clean, np.inf, seeds), np.tile(clean, (3, 1)))
+
+
 def test_synth_response_identical_for_same_seed():
     chirp = generate_chirp(default_chirp_spec())
     plant = ModalPlant(modes=((800.0, 0.02, 1.0),), noise_snr_db=30.0)
@@ -297,12 +309,3 @@ def test_waveform_validation():
         Waveform(np.array([np.nan]), 44100.0)
     with pytest.raises(ParameterError):
         Waveform(np.zeros(10), -1.0)
-
-
-def test_waveform_csv_round_readable(tmp_path):
-    w = Waveform(np.array([0.0, 0.5, -0.25]), 44100.0)
-    path = write_waveform_csv(w, tmp_path / "w.csv")
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 4  # header + one row per sample
-    values = [float(line.split(",")[-1]) for line in lines[1:]]
-    assert values == [0.0, 0.5, -0.25]
