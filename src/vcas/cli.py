@@ -37,6 +37,7 @@ from .envsim import (
 from .errors import DataError, ParameterError, VcasError
 from .features import load_kpca, save_kpca, write_evr_csv
 from .learn import (
+    ConfusionMatrix,
     TrainConfig,
     load_mlp,
     save_mlp,
@@ -46,9 +47,6 @@ from .learn import (
 from .pipeline import (
     BANDS,
     RunConfig,
-    SplitData,
-    TaskData,
-    TaskEval,
     TaskModels,
     dataset_path,
     eval_task,
@@ -62,11 +60,11 @@ from .pipeline import (
 )
 from .policy import (
     as_rollout_policy,
+    eval_report_to_dict,
     load_policy,
     policy_eval,
     policy_train,
     save_policy,
-    write_eval_report_json,
 )
 
 DEFAULT_OUT = "vcas_out"
@@ -252,25 +250,10 @@ def cmd_synth_data(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     for cond in sorted(data.conditions):
         split = data.conditions[cond]
-        if split.train is not None:
-            written.append(
-                write_dataset(
-                    split.train,
-                    dataset_path(out_dir, cfg.task, cond, "train"),
-                    cfg.task,
-                    cond,
-                    data.bin_hz,
-                )
-            )
-        written.append(
-            write_dataset(
-                split.test,
-                dataset_path(out_dir, cfg.task, cond, "test"),
-                cfg.task,
-                cond,
-                data.bin_hz,
-            )
-        )
+        for side, ds in (("train", split.train), ("test", split.test)):
+            if ds is not None:
+                path = dataset_path(out_dir, cfg.task, cond, side)
+                written.append(write_dataset(ds, path, cfg.task, cond, data.bin_hz))
     return written
 
 
@@ -280,13 +263,7 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     if not train_path.exists():
         raise DataError(f"no training data at {train_path}; run synth-data first")
     train_ds, meta = read_dataset(train_path)
-    data = TaskData(
-        cfg.task,
-        float(meta["bin_hz"]),
-        train_ds.label_names,
-        {"in_distribution": SplitData(train=train_ds)},
-    )
-    models = train_task(data, cfg)
+    models = train_task(train_ds, float(meta["bin_hz"]), cfg)
     mdir = Path(out_dir) / cfg.task / "models"
     history = history_to_dict(models.history)
     history.update(
@@ -313,15 +290,6 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         write_evr_csv(models.kpca, mdir / f"evr_{cfg.band}.csv"),
         write_json(history, mdir / f"history_{cfg.band}.json"),
     ]
-
-
-def _test_data(task: str, condition: str, path: Path) -> TaskData:
-    """One condition's test file as TaskData, carrying the file's bin width."""
-    test_ds, meta = read_dataset(path)
-    return TaskData(
-        task, float(meta["bin_hz"]), test_ds.label_names,
-        {condition: SplitData(test=test_ds)},
-    )
 
 
 def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
@@ -351,12 +319,12 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         mlp,
         tuple(kpca_meta["train_sessions"]),
     )
-    # Conditions are read and scored one at a time, in eval_task's sorted
-    # order, so eval holds one test file at once.  The training sessions
-    # come from the kPCA metadata, so the train file is not read.
+    # Conditions are read and scored one at a time, in sorted order, and
+    # each test file is dropped before the next is read, so eval holds one
+    # test file at once.  The training sessions come from the kPCA
+    # metadata, so the train file is not read.
     rows: list[dict] = []
-    confusions: dict = {}
-    regressions: dict = {}
+    reports: dict = {}
     for cond in sorted(cfg.conditions_resolved):
         test_path = dataset_path(out_dir, cfg.task, cond, "test")
         if not test_path.exists():
@@ -365,28 +333,21 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
                     f"no test data at {test_path}; run synth-data first"
                 )
             continue
-        scored = eval_task(models, _test_data(cfg.task, cond, test_path))
-        rows += scored.rows
-        confusions.update(scored.confusions)
-        regressions.update(scored.regressions)
-    ev = TaskEval(
-        cfg.task, cfg.band, kpca.n_components, tuple(rows), confusions, regressions
-    )
+        test, meta = read_dataset(test_path)
+        row, reports[cond] = eval_task(models, cond, test, float(meta["bin_hz"]))
+        rows.append(row)
+        del test
 
     edir = Path(out_dir) / cfg.task / "eval"
-    written = [write_json(metrics_to_dict(ev), edir / f"metrics_{cfg.band}.json")]
-    for cond in sorted(ev.confusions):
-        cm = ev.confusions[cond]
-        if not cm.empty_rows:
-            written.append(
-                write_confusion_csv(cm, edir / f"confusion_{cfg.band}_{cond}.csv")
-            )
-    for cond in sorted(ev.regressions):
-        written.append(
-            write_regression_csv(
-                ev.regressions[cond], edir / f"per_target_{cfg.band}_{cond}.csv"
-            )
-        )
+    metrics_path = edir / f"metrics_{cfg.band}.json"
+    written = [write_json(metrics_to_dict(models, rows), metrics_path)]
+    for cond, report in reports.items():
+        if not isinstance(report, ConfusionMatrix):
+            path = edir / f"per_target_{cfg.band}_{cond}.csv"
+            written.append(write_regression_csv(report, path))
+        elif not report.empty_rows:
+            path = edir / f"confusion_{cfg.band}_{cond}.csv"
+            written.append(write_confusion_csv(report, path))
     return written
 
 
@@ -425,7 +386,8 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
             options.seed,
             mode=options.mode,
         )
-        return [write_eval_report_json(report, sim_dir / f"eval_{options.regime}.json")]
+        path = sim_dir / f"eval_{options.regime}.json"
+        return [write_json(eval_report_to_dict(report), path)]
     if subcommand == "rollout":
         if options.policy == "expert":
             policy_fn = expert_policy

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .learn import ConfusionMatrix
 
 GRID_STEP = 4.5
 GRID_MAX = 90.0
@@ -171,32 +170,6 @@ def sample_observation(
         if u < acc:
             return ContactType(i)
     return ContactType(2)
-
-
-def observation_model_from_confusion(cm: ConfusionMatrix) -> ObservationModel:
-    """Reorder a measured contact confusion matrix into channel form.
-
-    The classifier's label order is lexicographic; rows and columns are
-    mapped by name onto the (diagonal, line, in_hole) contact order.
-    """
-    missing = set(CONTACT_LABELS) - set(cm.label_names)
-    if missing or len(cm.label_names) != 3:
-        raise ParameterError(
-            f"confusion labels {cm.label_names} do not cover {CONTACT_LABELS}"
-        )
-    probs = cm.normalized()
-    order = [cm.label_names.index(name) for name in CONTACT_LABELS]
-    return ObservationModel(probs[np.ix_(order, order)])
-
-
-def observation_model_to_csv(m: ObservationModel, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write("true_label," + ",".join(CONTACT_LABELS) + "\n")
-        for name, row in zip(CONTACT_LABELS, m.matrix):
-            fh.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    return path
 
 
 def observation_model_from_csv(path: str | Path) -> ObservationModel:

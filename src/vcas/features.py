@@ -18,9 +18,6 @@ from .container import PayloadKind, read_container, write_container
 from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from .signal import Waveform
 
-# A feature vector is just a 1-D float64 array; matrices stack them as rows.
-FeatureVector = np.ndarray
-
 _EIG_TOL_FACTOR = 1e-10
 
 

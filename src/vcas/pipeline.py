@@ -7,8 +7,9 @@ plant through the standard chirp in a single batched modal_response
 call, then stamps out samples by re-seeding only the additive noise, in
 chunks of up to four rows spread over a thread pool, so datasets are
 cheap and bit reproducible whatever the CPU count.  Training chains band
-selection, kernel PCA, and the MLP; evaluation emits per-condition
-metric rows shaped like the tables the report command consumes.
+selection, kernel PCA, and the MLP on the training Dataset; evaluation
+scores one condition's test Dataset into a metric row shaped like the
+tables the report command consumes.
 """
 
 from __future__ import annotations
@@ -169,14 +170,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SplitData:
-    """Train rows exist only for the in-distribution condition.
+    """One condition's rows; train rows exist only for in-distribution."""
 
-    Either side may be None when a condition was loaded partially from
-    disk (train-only for fitting, test-only for scoring).
-    """
-
-    train: Dataset | None = None
-    test: Dataset | None = None
+    train: Dataset | None
+    test: Dataset
 
 
 @dataclass(frozen=True)
@@ -457,103 +454,64 @@ class TaskModels:
     history: TrainingHistory | None = None
 
 
-def train_task(data: TaskData, cfg: RunConfig) -> TaskModels:
+def train_task(train: Dataset, bin_hz: float, cfg: RunConfig) -> TaskModels:
     """Band-select, fit kernel PCA, train the estimator."""
-    split = data.conditions.get("in_distribution")
-    if split is None or split.train is None:
-        raise ParameterError("task data lacks in-distribution training rows")
-    train = split.train
-    sl = band_slice_for(data.bin_hz, train.rows.shape[1], cfg.band)
+    sl = band_slice_for(bin_hz, train.rows.shape[1], cfg.band)
     kpca, embeddings = kpca_fit_transform(
         train.rows[:, sl], cfg.n_components_resolved
     )
     emb_ds = Dataset(
-        embeddings, train.targets, data.label_names, "train", train.session_ids
+        embeddings, train.targets, train.label_names, "train", train.session_ids
     )
     mlp, history = mlp_train(emb_ds, cfg.train)
     sessions = tuple(np.unique(train.session_ids).tolist())
     return TaskModels(
-        data.task, cfg.band, cfg.n_components_resolved, kpca, mlp, sessions, history
+        cfg.task, cfg.band, cfg.n_components_resolved, kpca, mlp, sessions, history
     )
 
 
-@dataclass(frozen=True)
-class TaskEval:
-    """Per-condition metric rows plus the artifacts behind them."""
+def eval_task(
+    models: TaskModels, condition: str, test: Dataset, bin_hz: float
+) -> tuple[dict, ConfusionMatrix | RegressionReport]:
+    """Project one condition's test rows and score the estimator.
 
-    task: str
-    band: str
-    n_components: int
-    rows: tuple[dict, ...]
-    confusions: dict[str, ConfusionMatrix]
-    regressions: dict[str, RegressionReport]
-
-    def row(self, condition: str) -> dict:
-        for r in self.rows:
-            if r["condition"] == condition:
-                return r
-        raise ParameterError(f"no metrics for condition {condition!r}")
-
-
-def eval_task(models: TaskModels, data: TaskData) -> TaskEval:
-    """Project each condition's test rows and score the estimator."""
-    if models.task != data.task:
-        raise ParameterError(
-            f"models are for task {models.task!r}, data is {data.task!r}"
-        )
+    Returns the condition's metric row and the confusion matrix
+    (classifier) or per-target report (regressor) behind it.
+    """
+    assert_sessions_disjoint(models.train_sessions, test)
     lo, hi = BANDS[models.band]
-    rows_out: list[dict] = []
-    confusions: dict[str, ConfusionMatrix] = {}
-    regressions: dict[str, RegressionReport] = {}
-    for cond in sorted(data.conditions):
-        test = data.conditions[cond].test
-        if test is None:
-            continue
-        assert_sessions_disjoint(models.train_sessions, test)
-        sl = band_slice_for(data.bin_hz, test.rows.shape[1], models.band)
-        emb = kpca_transform(models.kpca, test.rows[:, sl])
-        emb_ds = Dataset(
-            emb, test.targets, data.label_names, "test", test.session_ids
-        )
-        row = {
-            "task": models.task,
-            "band": models.band,
-            "f_low_hz": lo,
-            "f_high_hz": hi,
-            "condition": cond,
-            "n_components": models.n_components,
-            "n_test": len(test),
-        }
-        if data.label_names is not None:
-            cm = eval_classifier(models.mlp, emb_ds)
-            confusions[cond] = cm
-            row["metric"] = "accuracy"
-            row["value"] = cm.accuracy
-        else:
-            rep = eval_regressor(models.mlp, emb_ds)
-            regressions[cond] = rep
-            row["metric"] = "rmse_deg"
-            row["value"] = rep.rmse
-        rows_out.append(row)
-    return TaskEval(
-        models.task,
-        models.band,
-        models.n_components,
-        tuple(rows_out),
-        confusions,
-        regressions,
-    )
-
-
-def metrics_to_dict(ev: TaskEval) -> dict:
-    lo, hi = BANDS[ev.band]
-    return {
-        "task": ev.task,
-        "band": ev.band,
+    sl = band_slice_for(bin_hz, test.rows.shape[1], models.band)
+    emb = kpca_transform(models.kpca, test.rows[:, sl])
+    emb_ds = Dataset(emb, test.targets, test.label_names, "test", test.session_ids)
+    row = {
+        "task": models.task,
+        "band": models.band,
         "f_low_hz": lo,
         "f_high_hz": hi,
-        "n_components": ev.n_components,
-        "rows": list(ev.rows),
+        "condition": condition,
+        "n_components": models.n_components,
+        "n_test": len(test),
+    }
+    if test.label_names is not None:
+        report = eval_classifier(models.mlp, emb_ds)
+        row["metric"] = "accuracy"
+        row["value"] = report.accuracy
+    else:
+        report = eval_regressor(models.mlp, emb_ds)
+        row["metric"] = "rmse_deg"
+        row["value"] = report.rmse
+    return row, report
+
+
+def metrics_to_dict(models: TaskModels, rows: list[dict]) -> dict:
+    lo, hi = BANDS[models.band]
+    return {
+        "task": models.task,
+        "band": models.band,
+        "f_low_hz": lo,
+        "f_high_hz": hi,
+        "n_components": models.n_components,
+        "rows": rows,
     }
 
 

@@ -9,7 +9,6 @@ expert actions, reusing the MLP machinery from `learn`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -253,13 +252,6 @@ def eval_report_to_dict(report: EvalReport) -> dict:
         "max_length": report.max_length,
         "failures": [episode_to_dict(ep) for ep in report.failures],
     }
-
-
-def write_eval_report_json(report: EvalReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(eval_report_to_dict(report), sort_keys=True, indent=2))
-    return path
 
 
 def save_policy(model: PolicyModel, path: str | Path) -> Path:

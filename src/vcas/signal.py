@@ -273,16 +273,6 @@ def apply_noise(
     return out if np.ndim(seed) else out[0]
 
 
-def synth_response(plant: ModalPlant, excitation: Waveform, seed: int) -> Waveform:
-    """Received waveform for `excitation` through `plant` with seeded noise.
-
-    Identical (plant, excitation, seed) triples produce bit-identical
-    output.
-    """
-    clean = modal_response(plant, excitation)
-    return Waveform(apply_noise(clean, plant.noise_snr_db, seed), excitation.sample_rate)
-
-
 def detect_contact(
     stream: Waveform, threshold: float, debounce: int = DEFAULT_DEBOUNCE
 ) -> ContactEvent:

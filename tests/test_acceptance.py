@@ -214,12 +214,13 @@ def test_criterion_5_signal_invariants():
 def _task_metric(task, conditions, metric_by_condition):
     cfg = RunConfig(task=task, conditions=conditions, seed=0)
     data = synth_task_data(cfg)
-    models = train_task(data, cfg)
-    ev = eval_task(models, data)
-    got = {
-        r["condition"]: r["value"] for r in ev.rows if r["metric"] in metric_by_condition
-    }
-    del data, models, ev
+    models = train_task(data.conditions["in_distribution"].train, data.bin_hz, cfg)
+    got = {}
+    for cond, split in data.conditions.items():
+        row, _ = eval_task(models, cond, split.test, data.bin_hz)
+        if row["metric"] in metric_by_condition:
+            got[cond] = row["value"]
+    del data, models
     gc.collect()
     return got
 

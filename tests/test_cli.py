@@ -12,10 +12,9 @@ import pytest
 import vcas.cli
 from vcas.cli import build_parser, config_from_args, main, parse_kv_text
 from vcas.container import write_container
-from vcas.envsim import ObservationModel, observation_model_to_csv
 from vcas.errors import NumericalError, ParameterError
 from vcas.features import load_kpca, save_kpca
-from vcas.learn import TrainConfig
+from vcas.learn import ConfusionMatrix, TrainConfig, write_confusion_csv
 from vcas.pipeline import read_dataset, write_dataset
 
 TINY_GRASP = [
@@ -254,6 +253,33 @@ def test_eval_does_not_need_the_train_file(workspace, tmp_path, capsys):
     assert (out / name).read_bytes() == (workspace / name).read_bytes()
 
 
+def test_eval_skips_an_optional_condition_without_a_test_file(
+    workspace, tmp_path, capsys
+):
+    shutil.copytree(workspace / "grasp" / "models", tmp_path / "grasp" / "models")
+    shutil.copytree(workspace / "grasp" / "data", tmp_path / "grasp" / "data")
+    (tmp_path / "grasp" / "data" / "perturbed.test.vcas").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 0
+    edir = tmp_path / "grasp" / "eval"
+    assert capsys.readouterr().out.split() == [
+        str(edir / "metrics_full.json"),
+        str(edir / "confusion_full_in_distribution.csv"),
+    ]
+    metrics = json.loads((edir / "metrics_full.json").read_text())
+    assert [r["condition"] for r in metrics["rows"]] == ["in_distribution"]
+
+
+def test_eval_without_the_in_distribution_test_file_exits_2(
+    workspace, tmp_path, capsys
+):
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    (tmp_path / "grasp" / "data" / "in_distribution.test.vcas").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 2
+    assert "run synth-data first" in capsys.readouterr().err
+
+
 def test_eval_without_train_file_still_rejects_a_shared_session(workspace, tmp_path):
     out = _without_train_file(workspace, tmp_path)
     test_path = out / "grasp" / "data" / "in_distribution.test.vcas"
@@ -412,8 +438,10 @@ def test_sim_rollout_prints_trace(sim_workspace, capsys):
 
 
 def test_sim_rollout_with_csv_observation_model(sim_workspace, tmp_path, capsys):
-    csv = observation_model_to_csv(
-        ObservationModel.default(0.9), tmp_path / "obs.csv"
+    # A contact confusion matrix as eval writes it: lexicographic labels.
+    counts = np.array([[18, 0, 2], [0, 19, 1], [1, 1, 18]])
+    csv = write_confusion_csv(
+        ConfusionMatrix(counts, ("diagonal", "in_hole", "line")), tmp_path / "obs.csv"
     )
     rc = main(
         ["sim", "rollout", "--policy", str(sim_workspace / "sim" / "policy.vcas"),

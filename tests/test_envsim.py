@@ -24,9 +24,7 @@ from vcas.envsim import (
     expert_policy,
     generate_demos,
     grid_poses,
-    observation_model_from_confusion,
     observation_model_from_csv,
-    observation_model_to_csv,
     read_demos,
     rollout,
     sample_observation,
@@ -35,7 +33,7 @@ from vcas.envsim import (
     write_demos,
 )
 from vcas.errors import DataError, ParameterError
-from vcas.learn import ConfusionMatrix
+from vcas.learn import ConfusionMatrix, write_confusion_csv
 
 IDENTITY = ObservationModel.identity()
 
@@ -174,28 +172,29 @@ def test_uniform_channel_counts_pass_chi_square():
         assert chi2 < 13.8
 
 
-def test_observation_model_from_confusion_reorders_by_name():
+def test_observation_model_from_confusion_reorders_by_name(tmp_path):
     # Classifier label order is lexicographic: diagonal, in_hole, line.
     counts = np.array([[8, 0, 2], [0, 10, 0], [1, 0, 9]])
     cm = ConfusionMatrix(counts, ("diagonal", "in_hole", "line"))
-    m = observation_model_from_confusion(cm)
+    m = observation_model_from_csv(write_confusion_csv(cm, tmp_path / "cm.csv"))
     assert m.matrix[0, 0] == pytest.approx(0.8)  # diagonal -> diagonal
     assert m.matrix[0, 1] == pytest.approx(0.2)  # diagonal -> line
     assert m.matrix[1, 1] == pytest.approx(0.9)  # line -> line
     assert m.matrix[2, 2] == pytest.approx(1.0)  # in-hole -> in-hole
 
 
-def test_observation_model_from_confusion_rejects_wrong_labels():
+def test_observation_model_from_confusion_rejects_wrong_labels(tmp_path):
     cm = ConfusionMatrix(np.eye(3, dtype=int), ("a", "b", "c"))
-    with pytest.raises(ParameterError):
-        observation_model_from_confusion(cm)
+    with pytest.raises(DataError):
+        observation_model_from_csv(write_confusion_csv(cm, tmp_path / "cm.csv"))
 
 
 def test_observation_model_csv_round_trip(tmp_path):
-    m = ObservationModel.default(0.85)
-    path = observation_model_to_csv(m, tmp_path / "m.csv")
-    loaded = observation_model_from_csv(path)
-    assert np.array_equal(loaded.matrix, m.matrix)
+    # Counts already in channel order: the file reads back as their rows.
+    counts = np.array([[17, 3, 0], [1, 18, 1], [0, 3, 17]])
+    cm = ConfusionMatrix(counts, CONTACT_LABELS)
+    loaded = observation_model_from_csv(write_confusion_csv(cm, tmp_path / "m.csv"))
+    assert np.array_equal(loaded.matrix, cm.normalized())
 
 
 def test_observation_model_csv_headerless(tmp_path):

@@ -7,15 +7,13 @@ import pytest
 import vcas.pipeline
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, ParameterError
-from vcas.learn import Dataset, TrainConfig
+from vcas.learn import ConfusionMatrix, Dataset, TrainConfig
 from vcas.pipeline import (
     BANDS,
     CONDITIONS_DEFAULT,
     N_COMPONENTS_DEFAULT,
     SAMPLES_PER_CLASS_DEFAULT,
     RunConfig,
-    SplitData,
-    TaskData,
     band_slice_for,
     dataset_path,
     eval_task,
@@ -53,7 +51,8 @@ def grasp_data():
 
 @pytest.fixture(scope="module")
 def grasp_models(grasp_data):
-    return train_task(grasp_data, tiny_grasp_config())
+    train = grasp_data.conditions["in_distribution"].train
+    return train_task(train, grasp_data.bin_hz, tiny_grasp_config())
 
 
 # -------------------------------------------------------------- config
@@ -283,27 +282,50 @@ def test_band_slice_values():
 
 def test_low_band_training(grasp_data):
     cfg = tiny_grasp_config(band="low")
-    models = train_task(grasp_data, cfg)
+    train = grasp_data.conditions["in_distribution"].train
+    models = train_task(train, grasp_data.bin_hz, cfg)
     assert models.kpca.projection.shape[0] == 8753 - 20
 
 
 # ---------------------------------------------------------- evaluation
 
 
+def _score_each(models, data):
+    return {
+        cond: eval_task(models, cond, split.test, data.bin_hz)
+        for cond, split in data.conditions.items()
+    }
+
+
 def test_eval_task_emits_one_row_per_condition(grasp_data, grasp_models):
-    ev = eval_task(grasp_models, grasp_data)
-    conditions = [r["condition"] for r in ev.rows]
-    assert conditions == ["in_distribution", "perturbed"]
-    for row in ev.rows:
+    scored = _score_each(grasp_models, grasp_data)
+    assert sorted(scored) == ["in_distribution", "perturbed"]
+    for cond, (row, report) in scored.items():
+        assert row["condition"] == cond
         assert row["task"] == "grasp"
         assert row["band"] == "full"
         assert row["metric"] == "accuracy"
         assert 0.0 <= row["value"] <= 1.0
         assert row["f_low_hz"] == 20.0
         assert row["f_high_hz"] == 22050.0
-    assert ev.rows[0]["n_test"] == 6
-    assert set(ev.confusions) == {"in_distribution", "perturbed"}
-    assert not ev.regressions
+        assert row["n_test"] == 6
+        assert isinstance(report, ConfusionMatrix)
+        assert row["value"] == report.accuracy
+
+
+def test_eval_task_scores_a_regressor_with_a_per_target_report():
+    cfg = RunConfig(
+        task="pose", sessions_train=1, sessions_test=1,
+        train_per_class=1, test_per_class=1, n_components=3,
+        conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
+    )
+    data = synth_task_data(cfg)
+    split = data.conditions["in_distribution"]
+    models = train_task(split.train, data.bin_hz, cfg)
+    row, report = eval_task(models, "in_distribution", split.test, data.bin_hz)
+    assert row["metric"] == "rmse_deg"
+    assert row["value"] == report.rmse
+    assert report.per_target_count.sum() == len(split.test)
 
 
 def test_eval_task_rejects_a_test_session_seen_in_training(grasp_data, grasp_models):
@@ -312,19 +334,17 @@ def test_eval_task_rejects_a_test_session_seen_in_training(grasp_data, grasp_mod
         test.rows, test.targets, test.label_names, "test",
         np.full(len(test), grasp_models.train_sessions[-1]),
     )
-    data = TaskData(
-        grasp_data.task, grasp_data.bin_hz, grasp_data.label_names,
-        {"in_distribution": SplitData(test=leaked)},
-    )
     with pytest.raises(ParameterError, match="share sessions"):
-        eval_task(grasp_models, data)
+        eval_task(grasp_models, "in_distribution", leaked, grasp_data.bin_hz)
 
 
 def test_metrics_to_dict_shape(grasp_data, grasp_models):
-    payload = metrics_to_dict(eval_task(grasp_models, grasp_data))
+    rows = [row for row, _ in _score_each(grasp_models, grasp_data).values()]
+    payload = metrics_to_dict(grasp_models, rows)
     assert payload["task"] == "grasp"
+    assert payload["band"] == "full"
     assert payload["n_components"] == 3
-    assert isinstance(payload["rows"], list)
+    assert payload["rows"] == rows
     json.dumps(payload)  # everything JSON-serializable
 
 

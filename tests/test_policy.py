@@ -19,6 +19,7 @@ from vcas.envsim import (
 )
 from vcas.errors import ParameterError
 from vcas.learn import MlpModel, TrainConfig, load_mlp, mlp_loss
+from vcas.pipeline import write_json
 from vcas.policy import (
     TOKEN_COUNT,
     EvalReport,
@@ -31,7 +32,6 @@ from vcas.policy import (
     policy_eval,
     policy_train,
     save_policy,
-    write_eval_report_json,
 )
 
 IDENTITY = ObservationModel.identity()
@@ -277,7 +277,7 @@ def test_eval_report_consistency_check():
 
 def test_eval_report_json(tmp_path):
     report = policy_eval(expert_policy, "fixed", 5, IDENTITY, seed=1)
-    path = write_eval_report_json(report, tmp_path / "r.json")
+    path = write_json(eval_report_to_dict(report), tmp_path / "r.json")
     payload = json.loads(path.read_text())
     assert payload["success_rate"] == 1.0
     assert payload["n_episodes"] == 5

@@ -21,7 +21,6 @@ from vcas.signal import (
     generate_chirp,
     modal_response,
     noise_std_for_snr,
-    synth_response,
     _resonator_coeffs,
 )
 
@@ -83,6 +82,12 @@ def _single_mode_plant(freq, zeta=0.01, gain=1.0):
     return ModalPlant(modes=((freq, zeta, gain),), noise_snr_db=np.inf)
 
 
+def _received(plant, chirp, seed):
+    """The received waveform: the plant's response plus its seeded noise."""
+    clean = modal_response(plant, chirp)
+    return Waveform(apply_noise(clean, plant.noise_snr_db, seed), chirp.sample_rate)
+
+
 # Modes must sit inside the swept band with margin: the sweep ends near
 # 19.05 kHz and its spectral edge roll-off skews peaks of modes parked
 # there, so mode frequencies stay below ~16 kHz in practice.
@@ -90,7 +95,7 @@ def _single_mode_plant(freq, zeta=0.01, gain=1.0):
 @pytest.mark.parametrize("zeta", [0.005, 0.01, 0.02])
 def test_single_mode_spectral_peak_within_two_bins(freq, zeta):
     chirp = generate_chirp(default_chirp_spec())
-    w = synth_response(_single_mode_plant(freq, zeta=zeta), chirp, seed=0)
+    w = _received(_single_mode_plant(freq, zeta=zeta), chirp, seed=0)
     s = fft_magnitude(w)
     peak_bin = int(np.argmax(s.magnitudes))
     want_bin = freq / s.bin_hz
@@ -237,8 +242,8 @@ def test_apply_noise_writes_one_row_per_seed():
 def test_synth_response_identical_for_same_seed():
     chirp = generate_chirp(default_chirp_spec())
     plant = ModalPlant(modes=((800.0, 0.02, 1.0),), noise_snr_db=30.0)
-    a = synth_response(plant, chirp, seed=4)
-    b = synth_response(plant, chirp, seed=4)
+    a = _received(plant, chirp, seed=4)
+    b = _received(plant, chirp, seed=4)
     assert a.samples.tobytes() == b.samples.tobytes()
     assert a.sample_rate == chirp.sample_rate
 
