@@ -19,6 +19,9 @@ from .errors import DataError, DegenerateInputError, NumericalError, ParameterEr
 from .signal import Waveform
 
 _EIG_TOL_FACTOR = 1e-10
+# Bins per block of the projection product: one `rows.T @ scaled` over all
+# bins makes threaded OpenBLAS touch tens of MB of gemm workspace.
+_PROJECTION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,12 @@ def _as_matrix(rows: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
-def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
+def _row_norms(rows: np.ndarray, name: str) -> np.ndarray:
+    # Unlike np.linalg.norm(axis=1), einsum makes no rows-sized temporary.
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     if (norms == 0).any():
         raise DegenerateInputError(f"{name} contains an all-zero row")
-    return rows / norms[:, None]
+    return norms
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,9 @@ class KernelPcaModel:
     the embedding is unit(x) @ projection + offset.  For training unit
     rows U, Gram row means m and grand mean g,
     projection = U.T @ (C - mean of C's rows) (bins x components) and
-    offset = -m @ C + g * (column sums of C).
+    offset = -m @ C + g * (column sums of C).  No unit rows are built:
+    the fit computes projection = X.T @ ((C - mean of C's rows) / |X|)
+    from the raw rows X, and kpca_transform takes x @ projection / |x|.
     """
 
     projection: np.ndarray
@@ -204,16 +210,19 @@ def kpca_fit_transform(
     if n_components < 1:
         raise ParameterError("n_components must be at least 1")
 
-    unit = _unit_rows(rows, "rows")
-    # A distinct second operand keeps numpy on BLAS gemm: `unit @ unit.T`
-    # on one buffer goes to syrk, which rounds differently.
-    gram = unit @ unit.copy().T
+    norms = _row_norms(rows, "rows")
+    # One operand on both sides: numpy hands this product to BLAS syrk.
+    gram = rows @ rows.T
+    gram /= np.outer(norms, norms)
     if not np.isfinite(gram).all():
         raise NumericalError("kernel produced non-finite values")
 
     row_means = gram.mean(axis=1)
     grand = float(gram.mean())
-    centered = gram - row_means[:, None] - row_means[None, :] + grand
+    centered = gram  # centred in place: the raw Gram is not read again
+    centered -= row_means[:, None]
+    centered -= row_means[None, :]
+    centered += grand
 
     evals, evecs = np.linalg.eigh(centered)
     evals = evals[::-1]
@@ -235,8 +244,13 @@ def kpca_fit_transform(
     coef = coef * flip[None, :]
 
     evr = kept_vals / float(evals[evals > tol].sum())
+    scaled = (coef - coef.mean(axis=0)) / norms[:, None]
+    projection = np.empty((rows.shape[1], n_components))
+    for c in range(0, rows.shape[1], _PROJECTION_BLOCK):
+        cols = slice(c, c + _PROJECTION_BLOCK)
+        np.matmul(rows[:, cols].T, scaled, out=projection[cols])
     model = KernelPcaModel(
-        projection=unit.T @ (coef - coef.mean(axis=0)),
+        projection=projection,
         offset=-row_means @ coef + grand * coef.sum(axis=0),
         eigenvalues=kept_vals,
         explained_variance_ratio=evr,
@@ -254,17 +268,18 @@ def kpca_transform(model: KernelPcaModel, rows: np.ndarray) -> np.ndarray:
 
     Equal to centering each row's cosine-kernel row against the
     training set and multiplying by the scaled eigenvectors, folded
-    into unit(rows) @ projection + offset.
+    into unit(rows) @ projection + offset and computed on the raw rows
+    as (rows @ projection) / |rows| + offset.  `rows` is only read.
     """
-    rows_arr = np.asarray(rows, dtype=np.float64)
-    single = rows_arr.ndim == 1
-    rows_m = _as_matrix(rows_arr, "rows")
+    single = np.ndim(rows) == 1
+    rows_m = _as_matrix(rows, "rows")
     if rows_m.shape[1] != model.n_bins:
         raise ParameterError(
             f"row length {rows_m.shape[1]} does not match training "
             f"length {model.n_bins}"
         )
-    out = _unit_rows(rows_m, "rows") @ model.projection + model.offset
+    norms = _row_norms(rows_m, "rows")
+    out = rows_m @ model.projection / norms[:, None] + model.offset
     return out[0] if single else out
 
 

@@ -36,7 +36,9 @@ class TrainConfig:
 
     `min_delta` is the smallest validation-loss improvement that
     resets the patience counter; plateaus smaller than this stop
-    training once `patience` epochs pass without gain.
+    training once `patience` epochs pass without gain.  Training also
+    stops once the best loss is at most `min_delta`: losses are
+    non-negative, so no later epoch could count as a gain.
     """
 
     step_size: float = 1e-3
@@ -326,7 +328,7 @@ class TrainingHistory:
     train_loss: tuple[float, ...]
     val_loss: tuple[float, ...]
     best_epoch: int
-    stopped_early: bool
+    stop_reason: str  # "patience", "no_improvement_possible" or "max_epochs"
 
     @property
     def n_epochs(self) -> int:
@@ -453,7 +455,7 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
     since_best = 0
     train_curve: list[float] = []
     val_curve: list[float] = []
-    stopped_early = False
+    stop_reason = "max_epochs"
 
     for epoch in range(cfg.max_epochs):
         perm = batch_rng.permutation(x_train.shape[0])
@@ -491,16 +493,19 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
             best_epoch = epoch
             best_params = model.copy()
             since_best = 0
+            if best_loss <= cfg.min_delta:
+                stop_reason = "no_improvement_possible"
+                break
         else:
             since_best += 1
             if since_best >= cfg.patience:
-                stopped_early = True
+                stop_reason = "patience"
                 break
 
     best_params.label_names = data.label_names
     best_params.target_scale = scale
     history = TrainingHistory(
-        tuple(train_curve), tuple(val_curve), best_epoch, stopped_early
+        tuple(train_curve), tuple(val_curve), best_epoch, stop_reason
     )
     return best_params, history
 

@@ -178,9 +178,7 @@ class SplitData:
 
 @dataclass(frozen=True)
 class TaskData:
-    task: str
     bin_hz: float
-    label_names: tuple[str, ...] | None
     conditions: dict[str, SplitData]
 
 
@@ -384,7 +382,7 @@ def synth_task_data(cfg: RunConfig) -> TaskData:
     }
     for cond, builder in builders.items():
         conditions[cond] = SplitData(None, builder.dataset(names, "test"))
-    return TaskData(cfg.task, chirp.sample_rate / len(chirp), names, conditions)
+    return TaskData(chirp.sample_rate / len(chirp), conditions)
 
 
 # Spectra are made in chunks of up to this many rows of one job: one
@@ -561,7 +559,7 @@ def history_to_dict(history: TrainingHistory) -> dict:
         "train_loss": list(history.train_loss),
         "val_loss": list(history.val_loss),
         "best_epoch": history.best_epoch,
-        "stopped_early": history.stopped_early,
+        "stop_reason": history.stop_reason,
         "n_epochs": history.n_epochs,
     }
 

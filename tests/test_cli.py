@@ -347,6 +347,34 @@ def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_train_peak_memory_is_bounded_by_the_files_it_reads_and_writes(
+    tmp_path, capsys
+):
+    # Default grasp sizes: 300 training rows of 21,001 bins (48 MB).
+    args = ["--task", "grasp", "--set", "n_components=3", "--set", "max_epochs=2",
+            "--out", str(tmp_path)]
+    assert main(["synth-data", *args]) == 0
+    capsys.readouterr()
+    grasp = tmp_path / "grasp"
+    bare, peak = _peak_rss(
+        ["-c", "import vcas.cli"],
+        ["-c", "from vcas.cli import run; run()", "train", *args],
+    )
+    train_file = (grasp / "data" / "in_distribution.train.vcas").stat().st_size
+    written = sum(p.stat().st_size for p in (grasp / "models").iterdir())
+    # Beyond the rows and the models, train holds the finite check's
+    # mask (an eighth of the rows, 6 MB), the 300 x 300 Gram and its
+    # eigenvectors, and the MLP's parameters, Adam moments and best
+    # copy (1 MB each); BLAS adds under 1 MB of workspace per thread.
+    # A second rows-sized array (unit rows, a copy) breaks the bound.
+    slack = 20 * 2**20 + os.cpu_count() * 2**20
+    bound = bare + train_file + written + slack
+    assert peak <= bound, (
+        f"train peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
     args = ["synth-data", "--task", "grasp", "--set", "train_per_class=5",
             "--set", "test_per_class=5", "--out", str(tmp_path)]

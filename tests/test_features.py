@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vcas.features as features
 from _oracles import covariance_pca_projections, kpca_reference
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, DegenerateInputError, ParameterError
@@ -267,6 +268,42 @@ def test_kpca_linear_kernel_reproduces_classical_pca():
                 direct = np.abs(got - ref[:, j]).max()
                 flipped = np.abs(got + ref[:, j]).max()
                 assert min(direct, flipped) < 1e-8
+
+
+def test_kpca_on_a_wide_band_view_matches_both_oracles():
+    # More bins than two projection blocks plus a remainder, taken as a
+    # non-contiguous column view, the way train and eval pass a band.
+    block = features._PROJECTION_BLOCK
+    rng = np.random.default_rng(14)
+    wide = np.abs(rng.normal(size=(37, 2 * block + 152))) + 0.1
+    lo, hi = 50, wide.shape[1] - 50
+    rows, new = wide[:30, lo:hi], wide[30:, lo:hi]
+    assert not rows.flags.c_contiguous and rows.shape[1] % block
+    model, emb = kpca_fit_transform(rows, 4)
+    _, ref_emb, _, project = kpca_reference(rows, 4)
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    checks = [
+        (emb, ref_emb),
+        (kpca_transform(model, rows), ref_emb),
+        (emb, covariance_pca_projections(unit, 4)),
+        (kpca_transform(model, new), project(new)),
+    ]
+    for got, ref in checks:
+        for j in range(4):
+            direct = np.abs(got[:, j] - ref[:, j]).max()
+            flipped = np.abs(got[:, j] + ref[:, j]).max()
+            assert min(direct, flipped) < 1e-8
+
+
+def test_kpca_leaves_its_input_rows_unchanged():
+    rng = np.random.default_rng(15)
+    rows = np.abs(rng.normal(size=(12, 30))) + 0.1
+    new = np.abs(rng.normal(size=(5, 30))) + 0.1
+    before = rows.tobytes(), new.tobytes()
+    model, _ = kpca_fit_transform(rows, 3)
+    kpca_transform(model, new)
+    kpca_transform(model, new[0])
+    assert (rows.tobytes(), new.tobytes()) == before
 
 
 def test_kpca_save_load_round_trip(tmp_path):

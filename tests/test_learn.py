@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,43 @@ def test_train_same_seed_identical_history_and_weights():
     m2, h2 = mlp_train(data, cfg)
     assert h1 == h2
     assert all(a.tobytes() == b.tobytes() for a, b in zip(m1.weights, m2.weights))
+
+
+class _NoExitMinDelta(float):
+    """A min_delta that `best_loss <= min_delta` never holds for.
+
+    Arithmetic stays plain float, so training runs as without the exit
+    until patience runs out.
+    """
+
+    def __ge__(self, other):
+        return False
+
+
+def test_train_exit_when_no_epoch_can_improve_keeps_the_best_parameters():
+    data = blobs(8)
+    cfg = TrainConfig(max_epochs=200, patience=5, min_delta=0.02, seed=0)
+    m1, h1 = mlp_train(data, cfg)
+    m2, h2 = mlp_train(data, replace(cfg, min_delta=_NoExitMinDelta(0.02)))
+    assert h1.stop_reason == "no_improvement_possible"
+    assert h2.stop_reason == "patience"
+    assert h1.val_loss[h1.best_epoch] <= cfg.min_delta
+    # The history ends at the exit epoch, which is the best epoch.
+    assert h1.n_epochs == h1.best_epoch + 1 < h2.n_epochs
+    assert h2.best_epoch == h1.best_epoch
+    assert h2.train_loss[: h1.n_epochs] == h1.train_loss
+    assert h2.val_loss[: h1.n_epochs] == h1.val_loss
+    for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_train_stop_reason_patience_and_max_epochs():
+    # Overlapping classes: no epoch beats the first by 0.3.
+    noisy = blobs(8, spread=3.0)
+    _, h = mlp_train(noisy, TrainConfig(max_epochs=50, patience=2, min_delta=0.3))
+    assert (h.stop_reason, h.n_epochs, h.best_epoch) == ("patience", 3, 0)
+    _, h = mlp_train(blobs(5), TrainConfig(max_epochs=3, min_delta=0.0))
+    assert (h.stop_reason, h.n_epochs) == ("max_epochs", 3)
 
 
 def test_train_row_order_cannot_matter():

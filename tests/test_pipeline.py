@@ -105,10 +105,10 @@ def test_preset_task_mismatch_is_rejected():
 
 
 def test_grasp_synthesis_shapes(grasp_data):
-    assert grasp_data.task == "grasp"
-    assert grasp_data.label_names == ("base", "middle", "tip")
     assert set(grasp_data.conditions) == {"in_distribution", "perturbed"}
     split = grasp_data.conditions["in_distribution"]
+    for ds in (split.train, split.test, grasp_data.conditions["perturbed"].test):
+        assert ds.label_names == ("base", "middle", "tip")
     assert len(split.train) == 2 * 3 * 2  # sessions x classes x per-class
     assert len(split.test) == 1 * 3 * 2
     assert split.train.rows.shape[1] == 21001
@@ -158,8 +158,8 @@ def test_pose_synthesis_regression_targets():
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
     data = synth_task_data(cfg)
-    assert data.label_names is None
     train = data.conditions["in_distribution"].train
+    assert train.label_names is None
     assert len(train) == 18
     assert sorted(set(train.targets.tolist())) == [10.0 * k for k in range(18)]
 
@@ -171,8 +171,9 @@ def test_contact_synthesis_tiny():
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
     data = synth_task_data(cfg)
-    assert data.label_names == ("diagonal", "in_hole", "line")
     split = data.conditions["in_distribution"]
+    for ds in (split.train, split.test):
+        assert ds.label_names == ("diagonal", "in_hole", "line")
     assert len(split.train) == 15
     assert len(split.test) == 12
     counts = np.bincount(split.train.targets, minlength=3)
@@ -270,7 +271,8 @@ def test_train_task_builds_models(grasp_data, grasp_models):
     assert grasp_models.kpca.projection.shape == (20980, 3)  # full band
     assert grasp_models.train_sessions == (0, 1)
     assert grasp_models.mlp.in_dim == 3
-    assert grasp_models.mlp.label_names == grasp_data.label_names
+    train = grasp_data.conditions["in_distribution"].train
+    assert grasp_models.mlp.label_names == train.label_names
     assert grasp_models.history is not None
 
 
@@ -409,6 +411,6 @@ def test_write_json_deterministic(tmp_path):
 def test_history_to_dict_keys(grasp_models):
     d = history_to_dict(grasp_models.history)
     assert set(d) == {
-        "train_loss", "val_loss", "best_epoch", "stopped_early", "n_epochs",
+        "train_loss", "val_loss", "best_epoch", "stop_reason", "n_epochs",
     }
     assert d["n_epochs"] == len(d["train_loss"])
