@@ -11,7 +11,6 @@ environment variable, then ./vcas_out.  Exit codes: 0 success, 1 usage/config er
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -21,8 +20,10 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
+from .container import atomic_write, read_text
 from .envsim import (
     MAX_EPISODE_STEPS,
+    OBS_ACCURACY,
     WINDOW_LENGTH,
     ObservationModel,
     PoseState,
@@ -91,12 +92,7 @@ def _collect_kv(args: argparse.Namespace) -> dict[str, str]:
     kv: dict[str, str] = {}
     config = getattr(args, "config", None)
     if config:
-        path = Path(config)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from exc
-        kv.update(parse_kv_text(text, origin=str(path)))
+        kv.update(parse_kv_text(read_text(config), origin=config))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
@@ -105,19 +101,14 @@ def _collect_kv(args: argparse.Namespace) -> dict[str, str]:
     return kv
 
 
-# The sim defaults reuse the simulator's own: this accuracy, WINDOW_LENGTH
+# The sim defaults reuse the simulator's own: OBS_ACCURACY, WINDOW_LENGTH
 # and MAX_EPISODE_STEPS.
-_DEFAULT_ACCURACY = inspect.signature(ObservationModel.default).parameters[
-    "accuracy"
-].default
-
-
 @dataclass(frozen=True)
 class _SimOptions:
     """Keys shared by the sim subcommands that observe contacts."""
 
     obs: str = "default"
-    obs_accuracy: float = _DEFAULT_ACCURACY
+    obs_accuracy: float = OBS_ACCURACY
     seed: int = 0
 
     def observation_model(self) -> ObservationModel:
@@ -312,12 +303,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         raise DataError(f"{kpca_path} lists no training sessions; rerun train")
 
     models = TaskModels(
-        cfg.task,
-        cfg.band,
-        kpca.n_components,
-        kpca,
-        mlp,
-        tuple(kpca_meta["train_sessions"]),
+        cfg.task, cfg.band, kpca, mlp, tuple(kpca_meta["train_sessions"])
     )
     # Conditions are read and scored one at a time, in sorted order, and
     # each test file is dropped before the next is read, so eval holds one
@@ -480,8 +466,8 @@ def cmd_report(paths: list[str | Path], out_dir: str | Path) -> list[Path]:
     rows: list[dict] = []
     for p in paths:
         try:
-            payload = json.loads(Path(p).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            payload = json.loads(read_text(p))
+        except json.JSONDecodeError as exc:
             raise DataError(f"unreadable metrics file {p}: {exc}") from exc
         rows.extend(_report_rows_from_payload(payload, str(p)))
     rows.sort(
@@ -492,15 +478,10 @@ def cmd_report(paths: list[str | Path], out_dir: str | Path) -> list[Path]:
             str(r["metric"]),
         )
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "report.csv"
-    lines = [",".join(_REPORT_COLUMNS)]
-    lines += [
+    csv_lines = [",".join(_REPORT_COLUMNS)]
+    csv_lines += [
         ",".join(_format_cell(r[c]) for c in _REPORT_COLUMNS) for r in rows
     ]
-    csv_path.write_text("\n".join(lines) + "\n")
-    md_path = out / "report.md"
     md_lines = ["# Results", ""]
     md_lines.append("| " + " | ".join(_REPORT_COLUMNS) + " |")
     md_lines.append("|" + "|".join([" --- "] * len(_REPORT_COLUMNS)) + "|")
@@ -508,8 +489,11 @@ def cmd_report(paths: list[str | Path], out_dir: str | Path) -> list[Path]:
         "| " + " | ".join(_format_cell(r[c]) for c in _REPORT_COLUMNS) + " |"
         for r in rows
     ]
-    md_path.write_text("\n".join(md_lines) + "\n")
-    return [md_path, csv_path]
+    out = Path(out_dir)
+    for name, lines in (("report.csv", csv_lines), ("report.md", md_lines)):
+        with atomic_write(out / name) as fh:
+            fh.write("\n".join(lines) + "\n")
+    return [out / "report.md", out / "report.csv"]
 
 
 # --------------------------------------------------------------------------

@@ -16,20 +16,25 @@ Layout (all integers little-endian):
         data  prod(dims) * f64, little-endian, C order
 
 Floats are stored as raw IEEE-754 doubles, so read(write(x)) is
-bit-exact.  Writes go to a temporary file that is renamed into place.
-Reads and writes hold one copy of each array.  A corrupted magic, an
-unknown version or an unexpected kind is rejected before any payload
-is read.
+bit-exact.  Reads and writes hold one copy of each array.  A corrupted
+magic, an unknown version or an unexpected kind is rejected before any
+payload is read.
+
+This module owns every file vcas writes or reads: each artifact goes
+through `atomic_write` (a temporary file renamed into place) and each
+text input through `read_text`, which maps a failed read to DataError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
 import os
 import struct
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -48,6 +53,35 @@ class PayloadKind(enum.IntEnum):
     MLP_MODEL = 5
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a file that replaces `path` only once the block completes.
+
+    Parent directories are created.  The data goes to a temporary file
+    beside the target, renamed over it on success and removed on any
+    exception, so a crash leaves either the old file or the new one,
+    never a half-written one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of `path`; an unreadable file is a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def write_container(
     path: str | Path,
     kind: PayloadKind,
@@ -59,29 +93,19 @@ def write_container(
     Each array goes to the file straight from its own buffer (a
     conversion copy only when it is not C-ordered little-endian f64).
     """
-    path = Path(path)
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Write beside the target, then rename over it, so a crash leaves
-    # either the old file or the new one, never a half-written one.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fixed = struct.pack("<HHI", FORMAT_VERSION, int(kind), len(meta_bytes))
-            fh.write(MAGIC + fixed + meta_bytes + struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                name_bytes = name.encode("utf-8")
-                if len(name_bytes) > 0xFFFF:
-                    raise ParameterError(f"array name too long: {name!r}")
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                fh.write(struct.pack("<H", len(name_bytes)) + name_bytes)
-                fh.write(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
-                fh.write(memoryview(arr))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    with atomic_write(path, "wb") as fh:
+        fixed = struct.pack("<HHI", FORMAT_VERSION, int(kind), len(meta_bytes))
+        fh.write(MAGIC + fixed + meta_bytes + struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            name_bytes = name.encode("utf-8")
+            if len(name_bytes) > 0xFFFF:
+                raise ParameterError(f"array name too long: {name!r}")
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            fh.write(struct.pack("<H", len(name_bytes)) + name_bytes)
+            fh.write(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
+            fh.write(memoryview(arr))
+    return Path(path)
 
 
 def read_container(
@@ -93,10 +117,11 @@ def read_container(
     The fixed header is checked before any payload is read; each array
     is then read straight into its own buffer.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"container not found: {path}")
-    with path.open("rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(8)
         if len(head) < 8 or head[:4] != MAGIC:

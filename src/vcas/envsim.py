@@ -18,12 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .container import atomic_write, read_text
 from .errors import DataError, ParameterError
 
 GRID_STEP = 4.5
 GRID_MAX = 90.0
 MAX_EPISODE_STEPS = 50
 WINDOW_LENGTH = 10
+OBS_ACCURACY = 0.95  # default channel diagonal
 
 START_REGIMES = ("fixed", "interpolated", "out_of_distribution")
 
@@ -138,7 +140,7 @@ class ObservationModel:
         return cls(np.eye(3))
 
     @classmethod
-    def default(cls, accuracy: float = 0.95) -> "ObservationModel":
+    def default(cls, accuracy: float = OBS_ACCURACY) -> "ObservationModel":
         """Accuracy on the diagonal, residual mass on adjacent labels.
 
         Diagonal and in-hole confuse only with line (their neighbor in
@@ -178,11 +180,7 @@ def observation_model_from_csv(path: str | Path) -> ObservationModel:
     Named rows may appear in any order; headerless files are taken to
     be in (diagonal, line, in_hole) order already.
     """
-    path = Path(path)
-    try:
-        lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read observation model: {exc}") from exc
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
     rows: dict[str, list[float]] = {}
@@ -379,22 +377,19 @@ def episode_to_dict(ep: Episode) -> dict:
 
 
 def write_demos(demos: Sequence[DemoPair], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with atomic_write(path) as fh:
         for d in demos:
             rec = {
                 "window": [None if t is None else int(t) for t in d.window],
                 "action": int(d.action),
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return path
+    return Path(path)
 
 
 def read_demos(path: str | Path) -> list[DemoPair]:
-    path = Path(path)
     demos = []
-    for i, line in enumerate(path.read_text().splitlines()):
+    for i, line in enumerate(read_text(path).splitlines()):
         if not line.strip():
             continue
         try:

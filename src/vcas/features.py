@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import PayloadKind, read_container, write_container
+from .container import PayloadKind, atomic_write, read_container, write_container
 from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from .signal import Waveform
 
@@ -285,17 +285,15 @@ def kpca_transform(model: KernelPcaModel, rows: np.ndarray) -> np.ndarray:
 
 def write_evr_csv(model: KernelPcaModel, path: str | Path) -> Path:
     """Component-wise eigenvalue / explained-variance table."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     cum = np.cumsum(model.explained_variance_ratio)
-    with path.open("w") as fh:
+    with atomic_write(path) as fh:
         fh.write("component,eigenvalue,explained_variance_ratio,cumulative\n")
         for i in range(model.n_components):
             fh.write(
                 f"{i + 1},{float(model.eigenvalues[i])!r},"
                 f"{float(model.explained_variance_ratio[i])!r},{float(cum[i])!r}\n"
             )
-    return path
+    return Path(path)
 
 
 def save_kpca(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .container import PayloadKind, read_container, write_container
+from .container import PayloadKind, atomic_write, read_container, write_container
 from .errors import DegenerateInputError, NumericalError, ParameterError
 
 HIDDEN_DIMS = (400, 250, 100)
@@ -439,14 +439,10 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
     monitor_val = x_val.shape[0] > 0
 
     batch_rng = np.random.default_rng(batch_ss)
-    adam_m = [
-        (np.zeros_like(w), np.zeros_like(b))
-        for w, b in zip(model.weights, model.biases)
-    ]
-    adam_v = [
-        (np.zeros_like(w), np.zeros_like(b))
-        for w, b in zip(model.weights, model.biases)
-    ]
+    # [w0, b0, w1, b1, ...], updated in place, with one Adam moment each
+    params = [p for layer in zip(model.weights, model.biases) for p in layer]
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
     step = 0
 
     best_loss = math.inf
@@ -465,19 +461,11 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
             step += 1
             c1 = 1.0 - _ADAM_BETA1**step
             c2 = 1.0 - _ADAM_BETA2**step
-            for i, (dw, db) in enumerate(grads):
-                mw, mb = adam_m[i]
-                vw, vb = adam_v[i]
-                mw += (1 - _ADAM_BETA1) * (dw - mw)
-                mb += (1 - _ADAM_BETA1) * (db - mb)
-                vw += (1 - _ADAM_BETA2) * (dw * dw - vw)
-                vb += (1 - _ADAM_BETA2) * (db * db - vb)
-                model.weights[i] -= cfg.step_size * (mw / c1) / (
-                    np.sqrt(vw / c2) + _ADAM_EPS
-                )
-                model.biases[i] -= cfg.step_size * (mb / c1) / (
-                    np.sqrt(vb / c2) + _ADAM_EPS
-                )
+            flat = (g for layer in grads for g in layer)
+            for p, m, v, g in zip(params, adam_m, adam_v, flat):
+                m += (1 - _ADAM_BETA1) * (g - m)
+                v += (1 - _ADAM_BETA2) * (g * g - v)
+                p -= cfg.step_size * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
         train_loss = mlp_loss(model, (x_train, y_train), w_train)
         if not math.isfinite(train_loss):
@@ -588,14 +576,12 @@ def eval_classifier(model: MlpModel, test: Dataset) -> ConfusionMatrix:
 
 def write_confusion_csv(cm: ConfusionMatrix, path: str | Path) -> Path:
     """Row-normalized confusion matrix with named rows and columns."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     probs = cm.normalized()
-    with path.open("w") as fh:
+    with atomic_write(path) as fh:
         fh.write("true_label," + ",".join(cm.label_names) + "\n")
         for name, row in zip(cm.label_names, probs):
             fh.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    return path
+    return Path(path)
 
 
 @dataclass(frozen=True)
@@ -628,15 +614,13 @@ def eval_regressor(model: MlpModel, test: Dataset) -> RegressionReport:
 
 
 def write_regression_csv(report: RegressionReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with atomic_write(path) as fh:
         fh.write("target,rmse,count\n")
         for v, r, c in zip(
             report.target_values, report.per_target_rmse, report.per_target_count
         ):
             fh.write(f"{float(v)!r},{float(r)!r},{int(c)}\n")
-    return path
+    return Path(path)
 
 
 def save_mlp(model: MlpModel, path: str | Path, meta: dict | None = None) -> Path:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import plants
-from .container import PayloadKind, read_container, write_container
+from .container import PayloadKind, atomic_write, read_container, write_container
 from .envsim import CONTACT_LABELS, PoseState, contact_type, expert_action
 from .envsim import step as env_step
 from .errors import DataError, ParameterError
@@ -445,11 +445,14 @@ class TaskModels:
 
     task: str
     band: str
-    n_components: int
     kpca: KernelPcaModel
     mlp: MlpModel
     train_sessions: tuple[int, ...]
     history: TrainingHistory | None = None
+
+    @property
+    def n_components(self) -> int:
+        return self.kpca.n_components
 
 
 def train_task(train: Dataset, bin_hz: float, cfg: RunConfig) -> TaskModels:
@@ -463,9 +466,7 @@ def train_task(train: Dataset, bin_hz: float, cfg: RunConfig) -> TaskModels:
     )
     mlp, history = mlp_train(emb_ds, cfg.train)
     sessions = tuple(np.unique(train.session_ids).tolist())
-    return TaskModels(
-        cfg.task, cfg.band, cfg.n_components_resolved, kpca, mlp, sessions, history
-    )
+    return TaskModels(cfg.task, cfg.band, kpca, mlp, sessions, history)
 
 
 def eval_task(
@@ -565,7 +566,6 @@ def history_to_dict(history: TrainingHistory) -> dict:
 
 
 def write_json(payload: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return Path(path)

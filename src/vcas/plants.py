@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import read_text
 from .envsim import CONTACT_LABELS, contact_type
 from .errors import DataError, ParameterError
 from .signal import ModalPlant
@@ -120,9 +121,7 @@ def load_preset(source: str | Path) -> Preset:
     if str(source) in TASKS:
         path = default_preset_path(str(source))
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read preset {path}: {exc}") from exc
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"preset {path} is not valid JSON: {exc}") from exc
 

@@ -575,3 +575,54 @@ def test_sim_commands_start_without_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def _probe_bad_bytes(tmp_path: Path) -> Path:
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9=1\n")  # Latin-1, not UTF-8
+    return path
+
+
+def _probe_directory(tmp_path: Path) -> Path:
+    path = tmp_path / "a_directory"
+    path.mkdir()
+    return path
+
+
+def _probe_policy_directory(tmp_path: Path) -> Path:
+    path = tmp_path / "sim" / "policy.vcas"
+    path.mkdir(parents=True)
+    return path
+
+
+# Unreadable inputs: (make the input, the command given its path).
+_UNREADABLE_INPUTS = {
+    "config": (_probe_bad_bytes, lambda p: ["synth-data", "--task", "grasp", "--config", p]),
+    "preset": (
+        _probe_bad_bytes,
+        lambda p: ["synth-data", "--task", "grasp", "--set", f"preset={p}"],
+    ),
+    "obs": (_probe_bad_bytes, lambda p: ["sim", "demos", "--episodes", "1", "--obs", p]),
+    "report": (_probe_bad_bytes, lambda p: ["report", p]),
+    "demos": (_probe_bad_bytes, lambda p: ["sim", "train-policy", "--demos", p]),
+    "demos directory": (
+        _probe_directory,
+        lambda p: ["sim", "train-policy", "--demos", p],
+    ),
+    "policy directory": (
+        _probe_policy_directory,
+        lambda p: ["sim", "eval-policy", "--episodes", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_UNREADABLE_INPUTS))
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, probe):
+    make, command = _UNREADABLE_INPUTS[probe]
+    path = make(tmp_path)
+    capsys.readouterr()
+    assert main([*command(str(path)), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert str(path) in err
+    assert list(tmp_path.rglob("*.tmp")) == []

@@ -1,4 +1,7 @@
+import ast
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcas import container
+from vcas.cli import cmd_report
 from vcas.container import PayloadKind, read_container, write_container
+from vcas.envsim import Action, ContactType, DemoPair, write_demos
 from vcas.errors import DataError
+from vcas.features import kpca_fit, write_evr_csv
+from vcas.learn import (
+    ConfusionMatrix,
+    RegressionReport,
+    write_confusion_csv,
+    write_regression_csv,
+)
+from vcas.pipeline import write_json
 
 
 def test_round_trip_all_kinds(tmp_path):
@@ -192,3 +205,116 @@ def test_array_larger_than_the_file_is_rejected_before_allocating(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="truncated"):
         read_container(bad)
+
+
+# Every file vcas writes, by target name; each writer gets the target path.
+_WRITERS = {
+    "write_container": (
+        "x.vcas",
+        lambda path: write_container(path, PayloadKind.DATASET, {"x": np.ones(3)}),
+    ),
+    "write_json": ("x.json", lambda path: write_json({"a": 1}, path)),
+    "write_confusion_csv": (
+        "confusion.csv",
+        lambda path: write_confusion_csv(
+            ConfusionMatrix(np.eye(2, dtype=np.int64), ("a", "b")), path
+        ),
+    ),
+    "write_regression_csv": (
+        "per_target.csv",
+        lambda path: write_regression_csv(
+            RegressionReport(0.5, np.array([1.0]), np.array([0.5]), np.array([2])),
+            path,
+        ),
+    ),
+    "write_evr_csv": (
+        "evr.csv",
+        lambda path: write_evr_csv(
+            kpca_fit(np.random.default_rng(0).random((5, 8)), 2), path
+        ),
+    ),
+    "write_demos": (
+        "demos.jsonl",
+        lambda path: write_demos(
+            [DemoPair((None, ContactType.LINE), Action.ROT_X)], path
+        ),
+    ),
+    "cmd_report csv": (
+        "report.csv",
+        lambda path: cmd_report([path.parent.parent / "eval.json"], path.parent),
+    ),
+    "cmd_report md": (
+        "report.md",
+        lambda path: cmd_report([path.parent.parent / "eval.json"], path.parent),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_WRITERS))
+def test_every_writer_keeps_the_old_file_when_the_rename_fails(
+    tmp_path, monkeypatch, site
+):
+    name, write = _WRITERS[site]
+    (tmp_path / "eval.json").write_text(
+        json.dumps(
+            {"regime": "fixed", "n_episodes": 1, "success_rate": 1.0, "mean_length": 3.0}
+        )
+    )
+    path = tmp_path / "out" / name
+    path.parent.mkdir()
+    path.write_bytes(b"old\n")
+    replace = os.replace
+
+    def refuse_target(src, dst):
+        if Path(dst) == path:
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_target)
+    with pytest.raises(OSError, match="rename refused"):
+        write(path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_read_text_maps_unreadable_and_undecodable_files_to_data_error(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    for path in (bad, tmp_path, tmp_path / "absent.txt"):
+        with pytest.raises(DataError, match=f"cannot read {path}"):
+            container.read_text(path)
+
+
+def test_read_container_maps_a_failed_open_to_data_error(tmp_path):
+    for path in (tmp_path, tmp_path / "absent.vcas"):
+        with pytest.raises(DataError, match=f"cannot read {path}"):
+            read_container(path)
+
+
+# Calls that open, read, write or create files or directories.
+_FILE_CALLS = {
+    "open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir",
+    "makedirs",
+}
+
+
+def test_only_the_container_module_touches_files():
+    """Every other module reads and writes through `container`."""
+    src = Path(container.__file__).parent
+    hits = []
+    for module in sorted(src.glob("*.py")):
+        if module.name == "container.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            # A bare name is a file call only when it is the builtin open;
+            # `read_text` imported from container is the sanctioned path.
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr in _FILE_CALLS
+            ):
+                hits.append(f"{module.name}:{node.lineno}")
+    assert hits == []
