@@ -11,6 +11,7 @@ environment variable, then ./vcas_out.  Exit codes: 0 success, 1 usage/config er
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,12 +54,18 @@ from .pipeline import (
     eval_task,
     history_to_dict,
     metrics_to_dict,
+    open_dataset,
+    plan_synthesis,
     read_dataset,
-    synth_task_data,
+    synthesize,
     train_task,
-    write_dataset,
     write_json,
 )
+
+# perfbench's tracer looks these up here (ROADMAP item 3), so they stay
+# importable until its SITES table is retired; synth-data streams its
+# rows through plan_synthesis, synthesize and open_dataset instead.
+from .pipeline import synth_task_data, write_dataset  # noqa: F401, E402
 from .policy import (
     as_rollout_policy,
     eval_report_to_dict,
@@ -236,16 +243,23 @@ def config_from_args(args: argparse.Namespace):
 # commands
 
 def cmd_synth_data(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
-    """Synthesize and persist every configured condition's datasets."""
-    data = synth_task_data(cfg)
-    written: list[Path] = []
-    for cond in sorted(data.conditions):
-        split = data.conditions[cond]
-        for side, ds in (("train", split.train), ("test", split.test)):
-            if ds is not None:
-                path = dataset_path(out_dir, cfg.task, cond, side)
-                written.append(write_dataset(ds, path, cfg.task, cond, data.bin_hz))
-    return written
+    """Synthesize every configured condition's datasets into their files.
+
+    Each file is opened before synthesis starts, and each chunk of rows
+    goes straight to its offset there, so no dataset is held in memory.
+    """
+    plan = plan_synthesis(cfg)
+    paths = {
+        (cond, split): dataset_path(out_dir, cfg.task, cond, split)
+        for cond, split in sorted(plan.labels, key=lambda k: (k[0], k[1] != "train"))
+    }
+    with contextlib.ExitStack() as files:
+        sinks = {
+            key: files.enter_context(open_dataset(plan, key, path))
+            for key, path in paths.items()
+        }
+        synthesize(plan, sinks)
+    return list(paths.values())
 
 
 def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:

@@ -16,13 +16,14 @@ Layout (all integers little-endian):
         data  prod(dims) * f64, little-endian, C order
 
 Floats are stored as raw IEEE-754 doubles, so read(write(x)) is
-bit-exact.  Reads and writes hold one copy of each array.  A corrupted
-magic, an unknown version or an unexpected kind is rejected before any
-payload is read.
+bit-exact.  Reads and writes hold one copy of each array, and
+`open_container` writes arrays block by block, so its caller need not
+hold them at all.  A corrupted magic, an unknown version or an
+unexpected kind is rejected before any payload is read.
 
 This module owns every file vcas writes or reads: each artifact goes
 through `atomic_write` (a temporary file renamed into place) and each
-text input through `read_text`, which maps a failed read to DataError.
+text input through `read_text`; a failed write or read is a DataError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -60,17 +61,24 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
     Parent directories are created.  The data goes to a temporary file
     beside the target, renamed over it on success and removed on any
     exception, so a crash leaves either the old file or the new one,
-    never a half-written one.
+    never a half-written one.  A failed create, write or rename is a
+    DataError naming `path`.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, mode)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -80,6 +88,31 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _layout(
+    kind: PayloadKind, shapes: dict[str, tuple[int, ...]], meta: dict | None
+) -> tuple[bytes, list[tuple[bytes, int]]]:
+    """The file header, then per array its header and its data's offset.
+
+    The layout has no checksum, so every byte offset is known from the
+    array shapes and the metadata before any array data is written.
+    """
+    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    fixed = struct.pack("<HHI", FORMAT_VERSION, int(kind), len(meta_bytes))
+    head = MAGIC + fixed + meta_bytes + struct.pack("<I", len(shapes))
+    offset = len(head)
+    entries = []
+    for name, shape in shapes.items():
+        name_bytes = name.encode("utf-8")
+        if len(name_bytes) > 0xFFFF:
+            raise ParameterError(f"array name too long: {name!r}")
+        array_head = struct.pack("<H", len(name_bytes)) + name_bytes
+        array_head += struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+        offset += len(array_head)
+        entries.append((array_head, offset))
+        offset += 8 * math.prod(shape)
+    return head, entries
 
 
 def write_container(
@@ -93,19 +126,66 @@ def write_container(
     Each array goes to the file straight from its own buffer (a
     conversion copy only when it is not C-ordered little-endian f64).
     """
-    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    arrays = {
+        name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in arrays.items()
+    }
+    head, entries = _layout(kind, {n: a.shape for n, a in arrays.items()}, meta)
     with atomic_write(path, "wb") as fh:
-        fixed = struct.pack("<HHI", FORMAT_VERSION, int(kind), len(meta_bytes))
-        fh.write(MAGIC + fixed + meta_bytes + struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            name_bytes = name.encode("utf-8")
-            if len(name_bytes) > 0xFFFF:
-                raise ParameterError(f"array name too long: {name!r}")
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack("<H", len(name_bytes)) + name_bytes)
-            fh.write(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
+        fh.write(head)
+        for (array_head, _), arr in zip(entries, arrays.values()):
+            fh.write(array_head)
             fh.write(memoryview(arr))
     return Path(path)
+
+
+@contextlib.contextmanager
+def open_container(
+    path: str | Path,
+    kind: PayloadKind,
+    shapes: dict[str, tuple[int, ...]],
+    meta: dict | None = None,
+) -> Iterator[Callable[[str, int, np.ndarray], None]]:
+    """Open a container whose arrays are written in blocks of rows.
+
+    Yields `put(name, first_row, block)`, which writes `block` over rows
+    `first_row:first_row + len(block)` of array `name` with one
+    positional write, so threads may put disjoint blocks in any order.
+    The file is written through `atomic_write`: it appears only if the
+    block completes, and only once every array byte has been put.
+    """
+    head, entries = _layout(kind, shapes, meta)
+    offsets = {name: offset for name, (_, offset) in zip(shapes, entries)}
+    expected = sum(8 * math.prod(shape) for shape in shapes.values())
+    written = []  # bytes per put; list.append is atomic across threads
+
+    with atomic_write(path, "wb") as fh:
+        fd = fh.fileno()
+
+        def pwrite(data, offset: int) -> None:
+            view = memoryview(data).cast("B")
+            while view:
+                n = os.pwrite(fd, view, offset)
+                view, offset = view[n:], offset + n
+
+        def put(name: str, first_row: int, block: np.ndarray) -> None:
+            shape = shapes[name]
+            block = np.ascontiguousarray(block, dtype="<f8")
+            if block.shape[1:] != shape[1:] or first_row + len(block) > shape[0]:
+                raise ParameterError(
+                    f"block {block.shape} at row {first_row} does not fit "
+                    f"array {name!r} {shape}"
+                )
+            pwrite(block, offsets[name] + first_row * 8 * math.prod(shape[1:]))
+            written.append(block.nbytes)
+
+        pwrite(head, 0)
+        for array_head, offset in entries:
+            pwrite(array_head, offset - len(array_head))
+        yield put
+        if sum(written) != expected:
+            raise ParameterError(
+                f"{path}: {sum(written)} of {expected} array bytes were put"
+            )
 
 
 def read_container(

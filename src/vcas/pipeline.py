@@ -6,7 +6,12 @@ a plant, its target and its noise seeds.  One loop drives every job's
 plant through the standard chirp in a single batched modal_response
 call, then stamps out samples by re-seeding only the additive noise, in
 chunks of up to four rows spread over a thread pool, so datasets are
-cheap and bit reproducible whatever the CPU count.  Training chains band
+cheap and bit reproducible whatever the CPU count.  Every row's label
+and place is planned from the job list before the first spectrum is
+made, and each chunk goes to its dataset's row sink as soon as it is
+made: a rows array for in-memory datasets, the chunk's offset in the
+open dataset file for synth-data, so synth-data's rows go straight to
+their files and are never gathered in memory.  Training chains band
 selection, kernel PCA, and the MLP on the training Dataset; evaluation
 scores one condition's test Dataset into a metric row shaped like the
 tables the report command consumes.
@@ -14,17 +19,25 @@ tables the report command consumes.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import plants
-from .container import PayloadKind, atomic_write, read_container, write_container
+from .container import (
+    PayloadKind,
+    atomic_write,
+    open_container,
+    read_container,
+    write_container,
+)
 from .envsim import CONTACT_LABELS, PoseState, contact_type, expert_action
 from .envsim import step as env_step
 from .errors import DataError, ParameterError
@@ -50,6 +63,7 @@ from .learn import (
 )
 from .signal import (
     ModalPlant,
+    Waveform,
     apply_noise,
     default_chirp_spec,
     generate_chirp,
@@ -180,27 +194,6 @@ class SplitData:
 class TaskData:
     bin_hz: float
     conditions: dict[str, SplitData]
-
-
-class _DatasetBuilder:
-    """Row storage for one (condition, split), sized from its jobs."""
-
-    def __init__(self, n_rows: int, n_bins: int, classification: bool):
-        self.rows = np.empty((n_rows, n_bins))
-        self.targets = np.empty(n_rows, dtype=np.int64 if classification else np.float64)
-        self.sessions = np.empty(n_rows, dtype=np.int64)
-        self._fill = 0
-
-    def claim(self, n: int, target, session_id: int) -> np.ndarray:
-        """Label the next `n` rows and return them, to be filled in place."""
-        sl = slice(self._fill, self._fill + n)
-        self.targets[sl] = target
-        self.sessions[sl] = session_id
-        self._fill += n
-        return self.rows[sl]
-
-    def dataset(self, label_names, split_tag: str) -> Dataset:
-        return Dataset(self.rows, self.targets, label_names, split_tag, self.sessions)
 
 
 # One clean response per job, one noisy spectrum row per noise seed:
@@ -341,8 +334,47 @@ def _contact_jobs(
     return names, jobs
 
 
-def synth_task_data(cfg: RunConfig) -> TaskData:
-    """Synthesize a full per-condition dataset family for a task."""
+# A dataset's (condition, split), e.g. ("interpolated", "test").
+DatasetKey = tuple[str, str]
+
+# A dataset's row sink: sink(first_row, block) stores the rows of `block`
+# from `first_row` on.  Sinks are called from the pool's threads.
+RowSink = Callable[[int, np.ndarray], None]
+
+
+def _dataset_key(role: str) -> DatasetKey:
+    if role in ("train", "test"):
+        return "in_distribution", role
+    return role, "test"
+
+
+@dataclass(frozen=True)
+class SynthPlan:
+    """A task's datasets, complete but for their spectrum rows.
+
+    `labels` maps each dataset to its (targets, session_ids) in row
+    order; `jobs` make the rows in the same order.  Everything but the
+    rows, so a dataset file's whole layout, is known before the first
+    spectrum is made.
+    """
+
+    task: str
+    label_names: tuple[str, ...] | None
+    chirp: Waveform
+    jobs: list[_Job]
+    labels: dict[DatasetKey, tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def bin_hz(self) -> float:
+        return self.chirp.sample_rate / len(self.chirp)
+
+    @property
+    def n_bins(self) -> int:
+        return len(self.chirp) // 2 + 1
+
+
+def plan_synthesis(cfg: RunConfig) -> SynthPlan:
+    """List a task's jobs and label every row they will make."""
     preset = plants.load_preset(cfg.preset_source)
     if preset.task != cfg.task:
         raise ParameterError(
@@ -355,34 +387,65 @@ def synth_task_data(cfg: RunConfig) -> TaskData:
     else:
         names, jobs = _contact_jobs(cfg, preset)
 
-    chirp = generate_chirp(default_chirp_spec())
-    n_rows: dict[str, int] = {}
-    for role, _, _, _, seeds in jobs:
-        n_rows[role] = n_rows.get(role, 0) + seeds.size
-    builders = {
-        role: _DatasetBuilder(n, len(chirp) // 2 + 1, names is not None)
-        for role, n in n_rows.items()
+    target_type = np.float64 if names is None else np.int64
+    parts: dict[DatasetKey, tuple[list, list]] = {}
+    for role, _, target, sid, seeds in jobs:
+        targets, sessions = parts.setdefault(_dataset_key(role), ([], []))
+        targets.append(np.full(seeds.size, target, dtype=target_type))
+        sessions.append(np.full(seeds.size, sid, dtype=np.int64))
+    labels = {
+        key: (np.concatenate(targets), np.concatenate(sessions))
+        for key, (targets, sessions) in parts.items()
     }
-    clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
+    chirp = generate_chirp(default_chirp_spec())
+    return SynthPlan(cfg.task, names, chirp, jobs, labels)
+
+
+def synthesize(plan: SynthPlan, sinks: dict[DatasetKey, RowSink]) -> None:
+    """Make every row of `plan` and hand it to its dataset's sink.
+
+    One batched modal_response call gives each job's clean response;
+    the rows follow in chunks of up to four, each put to its sink as
+    soon as it is made, so no rows-sized array is held here.
+    """
+    clean = modal_response([plant for _, plant, _, _, _ in plan.jobs], plan.chirp)
+    filled = dict.fromkeys(sinks, 0)
     chunks = []
-    for (role, plant, target, sid, seeds), response in zip(jobs, clean):
-        rows = builders[role].claim(seeds.size, target, sid)
+    for (role, plant, _, _, seeds), response in zip(plan.jobs, clean):
+        key = _dataset_key(role)
         for i in range(0, seeds.size, _CHUNK_ROWS):
             chunks.append(
                 (response, plant.noise_snr_db, seeds[i : i + _CHUNK_ROWS],
-                 rows[i : i + _CHUNK_ROWS])
+                 sinks[key], filled[key] + i)
             )
-    _fill_spectra(chunks, len(chirp))
+        filled[key] += seeds.size
+    _fill_spectra(chunks, len(plan.chirp))
 
-    conditions = {
-        "in_distribution": SplitData(
-            builders.pop("train").dataset(names, "train"),
-            builders.pop("test").dataset(names, "test"),
-        )
+
+def synth_task_data(cfg: RunConfig) -> TaskData:
+    """Synthesize a task's datasets in memory, one rows array each."""
+    plan = plan_synthesis(cfg)
+    rows = {
+        key: np.empty((targets.size, plan.n_bins))
+        for key, (targets, _) in plan.labels.items()
     }
-    for cond, builder in builders.items():
-        conditions[cond] = SplitData(None, builder.dataset(names, "test"))
-    return TaskData(chirp.sample_rate / len(chirp), conditions)
+
+    def array_sink(key: DatasetKey) -> RowSink:
+        def put(first_row: int, block: np.ndarray) -> None:
+            rows[key][first_row : first_row + len(block)] = block
+
+        return put
+
+    synthesize(plan, {key: array_sink(key) for key in rows})
+    datasets = {
+        key: Dataset(rows[key], targets, plan.label_names, key[1], sessions)
+        for key, (targets, sessions) in plan.labels.items()
+    }
+    conditions = {
+        cond: SplitData(datasets.get((cond, "train")), datasets[cond, "test"])
+        for cond, _ in datasets
+    }
+    return TaskData(plan.bin_hz, conditions)
 
 
 # Spectra are made in chunks of up to this many rows of one job: one
@@ -391,11 +454,12 @@ _CHUNK_ROWS = 4
 
 
 def _fill_spectra(chunks: list, n_samples: int) -> None:
-    """Write each (clean, snr_db, seeds, rows) chunk's noisy |rfft| rows.
+    """Put each (clean, snr_db, seeds, sink, first_row) chunk's |rfft| rows.
 
     Chunks go to a thread pool sized by the CPUs this process may use;
-    numpy's random fills and rfft release the GIL.  Each chunk writes
-    only its own rows, so the result does not depend on the pool size.
+    numpy's random fills and rfft release the GIL.  Each worker makes a
+    chunk in its own buffers and puts it to rows only that chunk owns,
+    so the result does not depend on the pool size.
     """
     todo = iter(chunks)
     lock = threading.Lock()
@@ -403,15 +467,16 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
     def work() -> None:
         noisy = np.empty((_CHUNK_ROWS, n_samples))
         spectrum = np.empty((_CHUNK_ROWS, n_samples // 2 + 1), dtype=np.complex128)
+        mags = np.empty(spectrum.shape)
         while True:
             with lock:
                 chunk = next(todo, None)
             if chunk is None:
                 return
-            clean, snr_db, seeds, rows = chunk
+            clean, snr_db, seeds, sink, first_row = chunk
             k = seeds.size
             apply_noise(clean, snr_db, seeds, out=noisy[:k])
-            fft_magnitude(noisy[:k], out=rows, scratch=spectrum[:k])
+            sink(first_row, fft_magnitude(noisy[:k], out=mags[:k], scratch=spectrum[:k]))
 
     # Imported here: concurrent.futures pulls in logging, about 10 ms of
     # start-up that commands other than synth-data would pay for nothing.
@@ -514,6 +579,18 @@ def metrics_to_dict(models: TaskModels, rows: list[dict]) -> dict:
     }
 
 
+def _dataset_meta(
+    task: str, condition: str, split: str, bin_hz: float, label_names
+) -> dict:
+    return {
+        "task": task,
+        "condition": condition,
+        "split": split,
+        "bin_hz": bin_hz,
+        "label_names": list(label_names) if label_names else None,
+    }
+
+
 def write_dataset(
     ds: Dataset, path: str | Path, task: str, condition: str, bin_hz: float
 ) -> Path:
@@ -522,14 +599,31 @@ def write_dataset(
         "targets": ds.targets.astype(np.float64),
         "session_ids": ds.session_ids.astype(np.float64),
     }
-    meta = {
-        "task": task,
-        "condition": condition,
-        "split": ds.split_tag,
-        "bin_hz": bin_hz,
-        "label_names": list(ds.label_names) if ds.label_names else None,
-    }
+    meta = _dataset_meta(task, condition, ds.split_tag, bin_hz, ds.label_names)
     return write_container(path, PayloadKind.DATASET, arrays, meta)
+
+
+@contextlib.contextmanager
+def open_dataset(
+    plan: SynthPlan, key: DatasetKey, path: str | Path
+) -> Iterator[RowSink]:
+    """Open dataset `key` of `plan` as a file; yield the sink for its rows.
+
+    The targets and session ids are written at once, and the file holds
+    the bytes `write_dataset` would write for the same rows.  It
+    appears at `path` only when the block completes.
+    """
+    targets, sessions = plan.labels[key]
+    shapes = {
+        "rows": (targets.size, plan.n_bins),
+        "targets": targets.shape,
+        "session_ids": sessions.shape,
+    }
+    meta = _dataset_meta(plan.task, *key, plan.bin_hz, plan.label_names)
+    with open_container(path, PayloadKind.DATASET, shapes, meta) as put:
+        put("targets", 0, targets)
+        put("session_ids", 0, sessions)
+        yield functools.partial(put, "rows")
 
 
 def read_dataset(path: str | Path) -> tuple[Dataset, dict]:

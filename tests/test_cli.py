@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import shutil
@@ -10,12 +11,20 @@ import numpy as np
 import pytest
 
 import vcas.cli
+import vcas.pipeline
 from vcas.cli import build_parser, config_from_args, main, parse_kv_text
 from vcas.container import write_container
 from vcas.errors import NumericalError, ParameterError
 from vcas.features import load_kpca, save_kpca
 from vcas.learn import ConfusionMatrix, TrainConfig, write_confusion_csv
-from vcas.pipeline import read_dataset, write_dataset
+from vcas.pipeline import (
+    RunConfig,
+    dataset_path,
+    plan_synthesis,
+    read_dataset,
+    synth_task_data,
+    write_dataset,
+)
 
 TINY_GRASP = [
     "--set", "sessions_train=2",
@@ -376,22 +385,106 @@ def test_train_peak_memory_is_bounded_by_the_files_it_reads_and_writes(
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
-    args = ["synth-data", "--task", "grasp", "--set", "train_per_class=5",
-            "--set", "test_per_class=5", "--out", str(tmp_path)]
+    # Default grasp sizes: 450 rows of 21,001 bins (72 MB) from 18 jobs.
+    args = ["synth-data", "--task", "grasp", "--out", str(tmp_path)]
     bare, peak = _peak_rss(
         ["-c", "import vcas.cli"], ["-c", "from vcas.cli import run; run()", *args]
     )
-    written = sum(p.stat().st_size for p in (tmp_path / "grasp" / "data").glob("*.vcas"))
-    # Beyond the rows it writes, synth-data holds one clean response per
-    # job (18 x 42,000 samples, 6 MB) and the modal filter's block
-    # buffers; each pool worker adds its 4-row noise buffer and complex
-    # spectrum (2.7 MB).  None of these grows with the rows per job.
-    workers = os.cpu_count()  # at least the pool's size
-    slack = 12 * 2**20 + workers * 4 * 42000 * 16
-    bound = bare + written + slack
+    plan = plan_synthesis(RunConfig(task="grasp"))
+    n_samples = len(plan.chirp)
+    clean = len(plan.jobs) * n_samples * 8
+    # Each pool worker holds its chunk buffers (4 noisy rows, their
+    # complex spectrum and their magnitudes: 3.4 MB) and about 2 MB of
+    # rfft working copies and allocator arena; the fixed 8 MB holds the
+    # modal filter's block buffers, the labels and the thread pool's
+    # imports.  Nothing here grows with the rows written, so holding the
+    # rows (72 MB) breaks the bound.
+    chunk_buffers = 4 * (n_samples * 8 + plan.n_bins * (16 + 8))
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count()
+    bound = bare + clean + 8 * 2**20 + workers * (chunk_buffers + 2 * 2**20)
     assert peak <= bound, (
         f"synth-data peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
     )
+
+
+# Small configurations of every task shape: class labels, regression
+# targets, and all three contact conditions.
+_SYNTH_CASES = {
+    "grasp": ["--task", "grasp", *TINY_GRASP],
+    "pose": [
+        "--task", "pose", "--set", "sessions_train=1", "--set", "train_per_class=1",
+        "--set", "test_per_class=1",
+    ],
+    "contact": [
+        "--task", "contact", "--set", "sessions_train=1", "--set", "train_per_class=3",
+        "--set", "test_per_class=2",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SYNTH_CASES))
+def test_synth_data_files_equal_write_dataset_of_the_in_memory_datasets(
+    tmp_path, monkeypatch, capsys, case
+):
+    args = ["synth-data", *_SYNTH_CASES[case]]
+    cfg = config_from_args(build_parser().parse_args(args))
+    data = synth_task_data(cfg)
+    for cond, split in data.conditions.items():
+        for ds in (split.train, split.test):
+            if ds is not None:
+                path = dataset_path(tmp_path / "ref", cfg.task, cond, ds.split_tag)
+                write_dataset(ds, path, cfg.task, cond, data.bin_hz)
+    want = {p.relative_to(tmp_path / "ref"): p.read_bytes()
+            for p in (tmp_path / "ref").rglob("*.vcas")}
+    if case == "contact":
+        assert len(want) == 4  # in_distribution train and test, two test-only
+
+    pools = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(n_workers):
+        pools.append(n_workers)
+        return real_pool(n_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    for n_cpus in (1, 4):
+        monkeypatch.setattr(
+            vcas.pipeline.os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)),
+            raising=False,
+        )
+        out = tmp_path / f"cpus{n_cpus}"
+        assert main([*args, "--out", str(out)]) == 0
+        got = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.vcas")}
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == want[name], (n_cpus, name)
+        assert list(out.rglob("*.tmp")) == []
+    assert pools == [1, 4]
+
+
+def test_synth_data_failing_in_a_worker_keeps_the_old_datasets(
+    tmp_path, monkeypatch, capsys
+):
+    args = ["synth-data", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]
+    assert main(args) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*.vcas")}
+    assert len(before) == 3
+    real_response = vcas.pipeline.modal_response
+
+    def response_with_a_nan(plants, excitation):
+        out = real_response(plants, excitation)
+        out[-1, 100] = np.nan
+        return out
+
+    monkeypatch.setattr(vcas.pipeline, "modal_response", response_with_a_nan)
+    capsys.readouterr()
+    assert main([*args, "--seed", "1"]) == 1
+    assert "waveform samples must be finite" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*.vcas")} == before
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_numerical_error_exits_3(monkeypatch, tmp_path):
@@ -626,3 +719,46 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, probe):
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert str(path) in err
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
+    assert main(["sim", "demos", "--episodes", "5", "--out", str(tmp_path)]) == 0
+    path = _probe_policy_directory(tmp_path)
+    capsys.readouterr()
+    command = ["sim", "train-policy", "--set", "max_epochs=1", "--out", str(tmp_path)]
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {path}"), err
+    assert path.is_dir()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_datasets_and_classifier_eval_are_the_same_on_one_or_two_blas_threads(
+    tmp_path,
+):
+    # Model files, EVR and history differ in their last bits between
+    # BLAS thread counts (level-3 BLAS sums in another order); the
+    # datasets and the classifier's eval outputs must not.
+    src = str(Path(vcas.__file__).resolve().parents[1])
+    args = ["--task", "grasp", "--set", "max_epochs=3"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for command in ("synth-data", "train", "eval"):
+            done = subprocess.run(
+                [sys.executable, "-c", "from vcas.cli import run; run()", command,
+                 *args, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+        outs.append(out)
+    one, two = outs
+    compared = [
+        *sorted((one / "grasp" / "data").glob("*.vcas")),
+        one / "grasp" / "eval" / "metrics_full.json",
+        *sorted((one / "grasp" / "eval").glob("confusion_*.csv")),
+    ]
+    assert len(compared) == 6
+    for path in compared:
+        assert path.read_bytes() == (two / path.relative_to(one)).read_bytes(), path

@@ -12,7 +12,7 @@ from vcas import container
 from vcas.cli import cmd_report
 from vcas.container import PayloadKind, read_container, write_container
 from vcas.envsim import Action, ContactType, DemoPair, write_demos
-from vcas.errors import DataError
+from vcas.errors import DataError, ParameterError
 from vcas.features import kpca_fit, write_evr_csv
 from vcas.learn import (
     ConfusionMatrix,
@@ -170,7 +170,7 @@ def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, fail_at)
         monkeypatch.setattr(container, "open", DiskFullMidArray, raising=False)
     else:
         monkeypatch.setattr(os, "replace", refuse_replace)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match="cannot write"):
         write_container(path, PayloadKind.DATASET, {"x": np.zeros(500)}, {"v": 2})
     monkeypatch.undo()
 
@@ -205,6 +205,33 @@ def test_array_larger_than_the_file_is_rejected_before_allocating(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="truncated"):
         read_container(bad)
+
+
+def test_open_container_blocks_in_any_order_equal_write_container(tmp_path):
+    rows = np.arange(35.0).reshape(7, 5)
+    arrays = {"rows": rows, "ids": np.array([3.0, -1.5])}
+    want = write_container(tmp_path / "a.vcas", PayloadKind.DATASET, arrays, {"k": 1})
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    path = tmp_path / "b.vcas"
+    with container.open_container(path, PayloadKind.DATASET, shapes, {"k": 1}) as put:
+        put("ids", 0, arrays["ids"])
+        for first in (4, 0):  # rows 4-6, then 0-3
+            put("rows", first, rows[first : first + 4])
+    assert path.read_bytes() == want.read_bytes()
+
+
+def test_open_container_refuses_a_misfit_or_missing_block(tmp_path):
+    shapes = {"rows": (4, 3)}
+    path = tmp_path / "x.vcas"
+    with pytest.raises(ParameterError, match="does not fit"):
+        with container.open_container(path, PayloadKind.DATASET, shapes) as put:
+            put("rows", 2, np.zeros((3, 3)))
+    with pytest.raises(ParameterError, match="72 of 96 array bytes"):
+        with container.open_container(path, PayloadKind.DATASET, shapes) as put:
+            put("rows", 0, np.zeros((1, 3)))
+            put("rows", 3, np.zeros((1, 3)))
+            put("rows", 1, np.zeros((1, 3)))
+    assert list(tmp_path.iterdir()) == []
 
 
 # Every file vcas writes, by target name; each writer gets the target path.
@@ -271,7 +298,7 @@ def test_every_writer_keeps_the_old_file_when_the_rename_fails(
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse_target)
-    with pytest.raises(OSError, match="rename refused"):
+    with pytest.raises(DataError, match="rename refused"):
         write(path)
     monkeypatch.undo()
 
@@ -296,7 +323,7 @@ def test_read_container_maps_a_failed_open_to_data_error(tmp_path):
 # Calls that open, read, write or create files or directories.
 _FILE_CALLS = {
     "open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir",
-    "makedirs",
+    "makedirs", "pwrite", "pwritev", "pread", "preadv",
 }
 
 
