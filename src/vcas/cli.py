@@ -57,6 +57,7 @@ from .pipeline import (
     open_dataset,
     plan_synthesis,
     read_dataset,
+    read_dataset_lazily,
     synthesize,
     train_task,
     write_json,
@@ -267,8 +268,10 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     train_path = dataset_path(out_dir, cfg.task, "in_distribution", "train")
     if not train_path.exists():
         raise DataError(f"no training data at {train_path}; run synth-data first")
-    train_ds, meta = read_dataset(train_path)
-    models = train_task(train_ds, float(meta["bin_hz"]), cfg)
+    # The training rows stay in their file: kernel PCA reads them in
+    # column blocks, so train never holds them all.
+    with read_dataset_lazily(train_path) as (train_ds, meta):
+        models = train_task(train_ds, float(meta["bin_hz"]), cfg)
     mdir = Path(out_dir) / cfg.task / "models"
     history = history_to_dict(models.history)
     history.update(

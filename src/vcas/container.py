@@ -16,10 +16,13 @@ Layout (all integers little-endian):
         data  prod(dims) * f64, little-endian, C order
 
 Floats are stored as raw IEEE-754 doubles, so read(write(x)) is
-bit-exact.  Reads and writes hold one copy of each array, and
-`open_container` writes arrays block by block, so its caller need not
-hold them at all.  A corrupted magic, an unknown version or an
-unexpected kind is rejected before any payload is read.
+bit-exact.  Reads and writes hold one copy of each array.
+`open_container` writes arrays block by block, and
+`read_container_lazily` leaves chosen matrices in the file as
+DiskMatrix column-block readers, so their callers need not hold them
+at all.  A corrupted magic, an unknown version, an unexpected kind or
+an array running past the end of the file is rejected before any
+payload is read.
 
 This module owns every file vcas writes or reads: each artifact goes
 through `atomic_write` (a temporary file renamed into place) and each
@@ -188,67 +191,146 @@ def open_container(
             )
 
 
-def read_container(
+class DiskMatrix:
+    """A 2-D array left in its container file, read in column blocks.
+
+    `m[:, c0:c1]` is the DiskMatrix of those columns and reads nothing;
+    `np.asarray(m)` reads m's columns of every row into a new C-ordered
+    array, with one positional read per row.  A DiskMatrix reads its
+    file only while the `read_container_lazily` block that made it is
+    open.
+    """
+
+    def __init__(self, fh: IO[bytes], path, offset: int, shape: tuple[int, ...],
+                 cols: range | None = None):
+        self._fh, self._path, self._offset = fh, path, offset
+        self._n_rows, self._row_len = shape
+        self._cols = range(self._row_len) if cols is None else cols
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._n_rows, len(self._cols)
+
+    def __getitem__(self, key) -> "DiskMatrix":
+        ranges = isinstance(key, tuple) and len(key) == 2
+        ranges = ranges and all(isinstance(k, slice) for k in key)
+        cols = self._cols[key[1]] if ranges and key[0] == slice(None) else None
+        if cols is None or cols.step != 1:
+            raise IndexError("a DiskMatrix takes [:, c0:c1] column ranges only")
+        shape = (self._n_rows, self._row_len)
+        return DiskMatrix(self._fh, self._path, self._offset, shape, cols)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("reading a DiskMatrix always makes a new array")
+        fd = self._fh.fileno()  # ValueError once the file is closed
+        out = np.empty(self.shape, dtype="<f8")
+        first = self._offset + 8 * self._cols.start
+        for i, row in enumerate(out):
+            if os.preadv(fd, [row], first + 8 * i * self._row_len) != row.nbytes:
+                raise DataError(f"truncated or corrupt container: {self._path}")
+        return out.astype(np.float64 if dtype is None else dtype, copy=False)
+
+
+def _index(fh: IO[bytes], path, expect_kind: PayloadKind | None):
+    """Parse a container's headers; returns (kind, meta, {name: (dims, offset)}).
+
+    The fixed header is checked first; every array must then fit in the
+    file, and the last must end where the file does.  No array data is
+    read.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(8)
+    if len(head) < 8 or head[:4] != MAGIC:
+        raise DataError(f"bad magic in {path}: not a VCAS container")
+    version, kind_val = struct.unpack("<HH", head[4:])
+    if version != FORMAT_VERSION:
+        raise DataError(
+            f"unsupported container version {version} in {path} "
+            f"(expected {FORMAT_VERSION})"
+        )
+    try:
+        kind = PayloadKind(kind_val)
+    except ValueError as exc:
+        raise DataError(f"unknown payload kind {kind_val} in {path}") from exc
+    if expect_kind is not None and kind != expect_kind:
+        raise DataError(
+            f"{path}: expected {expect_kind.name} payload, found {kind.name}"
+        )
+
+    def take(n: int) -> bytes:
+        data = fh.read(n)
+        if len(data) != n:
+            raise DataError(f"truncated or corrupt container: {path}")
+        return data
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    try:
+        (mlen,) = unpack("<I")
+        meta = json.loads(take(mlen).decode("utf-8"))
+        (narr,) = unpack("<I")
+        index: dict[str, tuple[tuple[int, ...], int]] = {}
+        for _ in range(narr):
+            (nlen,) = unpack("<H")
+            name = take(nlen).decode("utf-8")
+            (ndim,) = unpack("<B")
+            dims = unpack(f"<{ndim}Q")
+            offset = fh.tell()
+            if 8 * math.prod(dims) > size - offset:
+                raise DataError(f"truncated or corrupt container: {path}")
+            index[name] = (dims, offset)
+            fh.seek(offset + 8 * math.prod(dims))
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise DataError(f"truncated or corrupt container: {path}") from exc
+    if fh.tell() != size:
+        raise DataError(f"trailing bytes in container: {path}")
+    return kind, meta, index
+
+
+@contextlib.contextmanager
+def read_container_lazily(
     path: str | Path,
     expect_kind: PayloadKind | None = None,
-) -> tuple[PayloadKind, dict[str, np.ndarray], dict]:
-    """Read a container; returns (kind, arrays, meta).
+    on_disk: str | None = None,
+) -> Iterator[tuple[PayloadKind, dict[str, np.ndarray | DiskMatrix], dict]]:
+    """Read a container, leaving the 2-D array named `on_disk` in the file.
 
-    The fixed header is checked before any payload is read; each array
-    is then read straight into its own buffer.
+    Yields (kind, arrays, meta) like read_container, with the `on_disk`
+    array as a DiskMatrix that reads the file until the block exits.
+    Every header is checked before any array data is read, so a bad
+    file raises DataError here, not from a DiskMatrix read.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != MAGIC:
-            raise DataError(f"bad magic in {path}: not a VCAS container")
-        version, kind_val = struct.unpack("<HH", head[4:])
-        if version != FORMAT_VERSION:
-            raise DataError(
-                f"unsupported container version {version} in {path} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        try:
-            kind = PayloadKind(kind_val)
-        except ValueError as exc:
-            raise DataError(f"unknown payload kind {kind_val} in {path}") from exc
-        if expect_kind is not None and kind != expect_kind:
-            raise DataError(
-                f"{path}: expected {expect_kind.name} payload, found {kind.name}"
-            )
-
-        def take(n: int) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
+        kind, meta, index = _index(fh, path, expect_kind)
+        arrays: dict[str, np.ndarray | DiskMatrix] = {}
+        for name, (dims, offset) in index.items():
+            if name == on_disk:
+                if len(dims) != 2:
+                    raise DataError(f"{path}: array {name!r} is not a matrix")
+                arrays[name] = DiskMatrix(fh, path, offset, dims)
+                continue
+            arr = np.empty(dims, dtype="<f8")
+            fh.seek(offset)
+            if fh.readinto(arr) != arr.nbytes:
                 raise DataError(f"truncated or corrupt container: {path}")
-            return data
+            arrays[name] = arr.astype(np.float64, copy=False)
+        yield kind, arrays, meta
 
-        def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-        try:
-            (mlen,) = unpack("<I")
-            meta = json.loads(take(mlen).decode("utf-8"))
-            (narr,) = unpack("<I")
-            arrays: dict[str, np.ndarray] = {}
-            for _ in range(narr):
-                (nlen,) = unpack("<H")
-                name = take(nlen).decode("utf-8")
-                (ndim,) = unpack("<B")
-                dims = unpack(f"<{ndim}Q")
-                # Check the size against the file before allocating.
-                if 8 * math.prod(dims) > size - fh.tell():
-                    raise DataError(f"truncated or corrupt container: {path}")
-                arr = np.empty(dims, dtype="<f8")
-                if fh.readinto(arr) != arr.nbytes:
-                    raise DataError(f"truncated or corrupt container: {path}")
-                arrays[name] = arr.astype(np.float64, copy=False)
-        except ValueError as exc:  # bad UTF-8 or JSON
-            raise DataError(f"truncated or corrupt container: {path}") from exc
-        if fh.read(1):
-            raise DataError(f"trailing bytes in container: {path}")
-    return kind, arrays, meta
+def read_container(
+    path: str | Path,
+    expect_kind: PayloadKind | None = None,
+) -> tuple[PayloadKind, dict[str, np.ndarray], dict]:
+    """Read a container; returns (kind, arrays, meta).
+
+    The headers are checked before any payload is read; each array is
+    then read straight into its own buffer.
+    """
+    with read_container_lazily(path, expect_kind) as read:
+        return read

@@ -9,19 +9,29 @@ what the estimators in `learn` consume.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import PayloadKind, atomic_write, read_container, write_container
+from .container import (
+    DiskMatrix,
+    PayloadKind,
+    atomic_write,
+    read_container,
+    write_container,
+)
 from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from .signal import Waveform
 
 _EIG_TOL_FACTOR = 1e-10
-# Bins per block of the projection product: one `rows.T @ scaled` over all
-# bins makes threaded OpenBLAS touch tens of MB of gemm workspace.
-_PROJECTION_BLOCK = 1024
+# Bins per column block of a kPCA fit.  Both passes over the training
+# rows (the Gram, then the projection) take one block at a time, so a
+# fit holds one block of rows, never all of them.  Full-size contact
+# `train` (3,000 rows) peaked at 419, 400 and 406 MB with 1,024-,
+# 2,048- and 4,096-bin blocks, and at 504 rows at 149, 151 and 155 MB.
+_BLOCK_BINS = 2048
 
 
 @dataclass(frozen=True)
@@ -145,12 +155,23 @@ def _as_matrix(rows: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
-def _row_norms(rows: np.ndarray, name: str) -> np.ndarray:
-    # Unlike np.linalg.norm(axis=1), einsum makes no rows-sized temporary.
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+def _row_norms(squares: np.ndarray, name: str) -> np.ndarray:
+    """Row norms from their squares; an all-zero row is degenerate."""
+    norms = np.sqrt(squares)
     if (norms == 0).any():
         raise DegenerateInputError(f"{name} contains an all-zero row")
     return norms
+
+
+def _column_blocks(rows) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each `_BLOCK_BINS`-wide column block of `rows`, as a C-ordered copy.
+
+    `rows` is an array or a container's DiskMatrix; either way a block
+    is read (or copied) into its own buffer, so both give the same bits.
+    """
+    for c in range(0, rows.shape[1], _BLOCK_BINS):
+        cols = slice(c, c + _BLOCK_BINS)
+        yield cols, np.ascontiguousarray(rows[:, cols], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -191,29 +212,44 @@ class KernelPcaModel:
 
 
 def kpca_fit_transform(
-    rows: np.ndarray, n_components: int
+    rows: np.ndarray | DiskMatrix, n_components: int
 ) -> tuple[KernelPcaModel, np.ndarray]:
     """Fit cosine kernel PCA; return (model, training-row embeddings).
 
-    The Gram matrix is double-centered (mean removal in the kernel
-    feature space), eigendecomposed, and the top `n_components`
-    eigenpairs with eigenvalues above tolerance are retained.  Raises
-    ParameterError reporting the attainable maximum when `n_components`
-    exceeds the positive-eigenvalue count.  The embeddings come straight
-    from the eigensystem (centered Gram times the coefficient columns);
+    The rows (an array, or a container's DiskMatrix) are read in two
+    passes of column blocks: the first sums the Gram matrix, whose
+    diagonal gives the row norms, and the second fills the projection.
+    The normalised Gram is double-centered (mean removal in the kernel feature space),
+    eigendecomposed, and the top `n_components` eigenpairs with
+    eigenvalues above tolerance are retained.  Raises ParameterError
+    reporting the attainable maximum when `n_components` exceeds the
+    positive-eigenvalue count.  The embeddings come straight from the
+    eigensystem (centered Gram times the coefficient columns);
     kpca_transform on the training rows agrees to rounding.
     """
-    rows = _as_matrix(rows, "rows")
-    n = rows.shape[0]
+    shape = np.shape(rows)
+    if len(shape) != 2 or shape[1] == 0:
+        raise ParameterError("rows must be a matrix of rows")
+    n, n_bins = shape
     if n < 2:
         raise ParameterError("kernel PCA needs at least two rows")
     if n_components < 1:
         raise ParameterError("n_components must be at least 1")
 
-    norms = _row_norms(rows, "rows")
-    # One operand on both sides: numpy hands this product to BLAS syrk.
-    gram = rows @ rows.T
-    gram /= np.outer(norms, norms)
+    gram = np.zeros((n, n))
+    product = np.empty((n, n))
+    for _, block in _column_blocks(rows):
+        if not np.isfinite(block).all():
+            raise ParameterError("rows must be finite")
+        # One operand on both sides: numpy hands this product to BLAS syrk.
+        np.matmul(block, block.T, out=product)
+        gram += product
+        del block  # before the next block is read, so one is held at a time
+    del product
+    # The raw Gram's diagonal holds the squared row norms.
+    norms = _row_norms(np.diag(gram), "rows")
+    gram /= norms[:, None]
+    gram /= norms[None, :]
     if not np.isfinite(gram).all():
         raise NumericalError("kernel produced non-finite values")
 
@@ -242,20 +278,22 @@ def kpca_fit_transform(
     flip = np.sign(coef[np.argmax(np.abs(coef), axis=0), np.arange(n_components)])
     flip[flip == 0] = 1.0
     coef = coef * flip[None, :]
+    embeddings = centered @ coef
+    del centered, gram, evecs  # the n x n arrays go before the projection
 
     evr = kept_vals / float(evals[evals > tol].sum())
     scaled = (coef - coef.mean(axis=0)) / norms[:, None]
-    projection = np.empty((rows.shape[1], n_components))
-    for c in range(0, rows.shape[1], _PROJECTION_BLOCK):
-        cols = slice(c, c + _PROJECTION_BLOCK)
-        np.matmul(rows[:, cols].T, scaled, out=projection[cols])
+    projection = np.empty((n_bins, n_components))
+    for cols, block in _column_blocks(rows):
+        np.matmul(block.T, scaled, out=projection[cols])
+        del block
     model = KernelPcaModel(
         projection=projection,
         offset=-row_means @ coef + grand * coef.sum(axis=0),
         eigenvalues=kept_vals,
         explained_variance_ratio=evr,
     )
-    return model, centered @ coef
+    return model, embeddings
 
 
 def kpca_fit(rows: np.ndarray, n_components: int) -> KernelPcaModel:
@@ -278,7 +316,8 @@ def kpca_transform(model: KernelPcaModel, rows: np.ndarray) -> np.ndarray:
             f"row length {rows_m.shape[1]} does not match training "
             f"length {model.n_bins}"
         )
-    norms = _row_norms(rows_m, "rows")
+    # Unlike np.linalg.norm(axis=1), einsum makes no rows-sized temporary.
+    norms = _row_norms(np.einsum("ij,ij->i", rows_m, rows_m), "rows")
     out = rows_m @ model.projection / norms[:, None] + model.offset
     return out[0] if single else out
 

@@ -20,7 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .container import PayloadKind, atomic_write, read_container, write_container
+from .container import (
+    DiskMatrix,
+    PayloadKind,
+    atomic_write,
+    read_container,
+    write_container,
+)
 from .errors import DegenerateInputError, NumericalError, ParameterError
 
 HIDDEN_DIMS = (400, 250, 100)
@@ -78,11 +84,14 @@ class Dataset:
     session_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ParameterError("rows must be a 2-D matrix")
-        if not np.isfinite(rows).all():
-            raise ParameterError("rows must be finite")
+        rows = self.rows
+        # A file's rows stay on disk; kernel PCA checks each block it reads.
+        if not isinstance(rows, DiskMatrix):
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 2:
+                raise ParameterError("rows must be a 2-D matrix")
+            if not np.isfinite(rows).all():
+                raise ParameterError("rows must be finite")
         if self.label_names is not None:
             targets = np.asarray(self.targets, dtype=np.int64)
             if targets.size and (

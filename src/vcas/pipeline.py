@@ -12,9 +12,10 @@ made, and each chunk goes to its dataset's row sink as soon as it is
 made: a rows array for in-memory datasets, the chunk's offset in the
 open dataset file for synth-data, so synth-data's rows go straight to
 their files and are never gathered in memory.  Training chains band
-selection, kernel PCA, and the MLP on the training Dataset; evaluation
-scores one condition's test Dataset into a metric row shaped like the
-tables the report command consumes.
+selection, kernel PCA, and the MLP on the training Dataset (the train
+command leaves its rows in their file, for kernel PCA to read in
+column blocks); evaluation scores one condition's test Dataset into a
+metric row shaped like the tables the report command consumes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .container import (
     atomic_write,
     open_container,
     read_container,
+    read_container_lazily,
     write_container,
 )
 from .envsim import CONTACT_LABELS, PoseState, contact_type, expert_action
@@ -521,7 +523,11 @@ class TaskModels:
 
 
 def train_task(train: Dataset, bin_hz: float, cfg: RunConfig) -> TaskModels:
-    """Band-select, fit kernel PCA, train the estimator."""
+    """Band-select, fit kernel PCA, train the estimator.
+
+    The band is a column range of `train.rows`, so rows left on disk
+    (read_dataset_lazily) are read only within the band.
+    """
     sl = band_slice_for(bin_hz, train.rows.shape[1], cfg.band)
     kpca, embeddings = kpca_fit_transform(
         train.rows[:, sl], cfg.n_components_resolved
@@ -626,8 +632,7 @@ def open_dataset(
         yield functools.partial(put, "rows")
 
 
-def read_dataset(path: str | Path) -> tuple[Dataset, dict]:
-    _, arrays, meta = read_container(path, expect_kind=PayloadKind.DATASET)
+def _as_dataset(path, arrays: dict, meta: dict) -> tuple[Dataset, dict]:
     label_names = meta.get("label_names")
     targets = arrays["targets"]
     if label_names is not None:
@@ -643,6 +648,22 @@ def read_dataset(path: str | Path) -> tuple[Dataset, dict]:
         arrays["session_ids"].astype(np.int64),
     )
     return ds, meta
+
+
+def read_dataset(path: str | Path) -> tuple[Dataset, dict]:
+    _, arrays, meta = read_container(path, expect_kind=PayloadKind.DATASET)
+    return _as_dataset(path, arrays, meta)
+
+
+@contextlib.contextmanager
+def read_dataset_lazily(path: str | Path) -> Iterator[tuple[Dataset, dict]]:
+    """read_dataset, with the rows left in the file as a DiskMatrix.
+
+    The rows are read, in column blocks, only by whoever takes them
+    (train_task's kernel PCA), and only until the block exits.
+    """
+    with read_container_lazily(path, PayloadKind.DATASET, "rows") as (_, arrays, meta):
+        yield _as_dataset(path, arrays, meta)
 
 
 def dataset_path(out_dir: str | Path, task: str, condition: str, split: str) -> Path:

@@ -234,6 +234,56 @@ def test_open_container_refuses_a_misfit_or_missing_block(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_disk_matrix_reads_column_ranges_of_its_array(tmp_path):
+    rows = np.arange(35.0).reshape(7, 5)
+    arrays = {"rows": rows, "ids": np.array([3.0, -1.5])}
+    path = write_container(tmp_path / "a.vcas", PayloadKind.DATASET, arrays, {"k": 1})
+    lazily = container.read_container_lazily(path, PayloadKind.DATASET, "rows")
+    with lazily as (kind, got, meta):
+        view = got["rows"]
+        assert isinstance(view, container.DiskMatrix)
+        assert (kind, meta, view.shape) == (PayloadKind.DATASET, {"k": 1}, (7, 5))
+        assert got["ids"].tobytes() == arrays["ids"].tobytes()
+        assert np.asarray(view).tobytes() == rows.tobytes()
+        band = view[:, 1:4]
+        assert band.shape == (7, 3)
+        assert np.asarray(band[:, 1:]).tobytes() == rows[:, 2:4].copy().tobytes()
+        assert np.asarray(view[:, 4:9]).tobytes() == rows[:, 4:].copy().tobytes()
+        for key in ((0, slice(None)), (slice(None), 2), (slice(1, 3), slice(None)),
+                    (slice(None), slice(0, 5, 2)), slice(None)):
+            with pytest.raises(IndexError):
+                view[key]
+    with pytest.raises(ValueError):  # the file is closed with the block
+        np.asarray(view)
+
+
+def test_a_disk_matrix_read_past_a_shrunk_file_is_a_data_error(tmp_path):
+    arrays = {"m": np.ones((4, 3))}
+    path = write_container(tmp_path / "a.vcas", PayloadKind.DATASET, arrays)
+    with container.read_container_lazily(path, on_disk="m") as (_, got, _):
+        os.truncate(path, path.stat().st_size - 8)
+        assert np.asarray(got["m"][:, :2]).tobytes() == np.ones((4, 2)).tobytes()
+        with pytest.raises(DataError, match="truncated"):
+            np.asarray(got["m"])
+
+
+def test_a_lazy_read_checks_every_header_before_any_block(tmp_path, monkeypatch):
+    raw = _two_array_file(tmp_path)
+    bad_files = [raw[:cut] for cut in range(len(raw))]  # every truncation
+    for at, value in ((0, b"X"), (4, b"\x63"), (6, b"\x01")):  # magic, version, kind
+        bad_files.append(raw[:at] + value + raw[at + 1 :])
+    monkeypatch.setattr(os, "preadv", None)  # a block read would fail loudly
+    bad = tmp_path / "bad.vcas"
+    for data in bad_files:
+        bad.write_bytes(data)
+        with pytest.raises(DataError):
+            with container.read_container_lazily(bad, on_disk="w"):
+                pytest.fail(f"opened a {len(data)}-byte corrupt file")
+    with pytest.raises(DataError, match="not a matrix"):
+        with container.read_container_lazily(tmp_path / "x.vcas", on_disk="b"):
+            pass
+
+
 # Every file vcas writes, by target name; each writer gets the target path.
 _WRITERS = {
     "write_container": (

@@ -271,9 +271,9 @@ def test_kpca_linear_kernel_reproduces_classical_pca():
 
 
 def test_kpca_on_a_wide_band_view_matches_both_oracles():
-    # More bins than two projection blocks plus a remainder, taken as a
-    # non-contiguous column view, the way train and eval pass a band.
-    block = features._PROJECTION_BLOCK
+    # More bins than two column blocks plus a remainder, taken as a
+    # non-contiguous column view, the way eval passes a band.
+    block = features._BLOCK_BINS
     rng = np.random.default_rng(14)
     wide = np.abs(rng.normal(size=(37, 2 * block + 152))) + 0.1
     lo, hi = 50, wide.shape[1] - 50

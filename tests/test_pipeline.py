@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from _oracles import kpca_reference
 
 import vcas.pipeline
+from vcas import features
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, ParameterError
+from vcas.features import kpca_fit_transform
 from vcas.learn import ConfusionMatrix, Dataset, TrainConfig
 from vcas.pipeline import (
     BANDS,
@@ -20,6 +23,7 @@ from vcas.pipeline import (
     history_to_dict,
     metrics_to_dict,
     read_dataset,
+    read_dataset_lazily,
     synth_task_data,
     train_task,
     write_dataset,
@@ -392,6 +396,32 @@ def test_dataset_rejects_non_integral_class_targets(tmp_path):
     )
     with pytest.raises(DataError, match="integral"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("band", ["full", "low"])
+def test_kpca_fits_a_file_and_an_array_of_the_same_rows_to_the_same_bits(
+    tmp_path, grasp_data, band
+):
+    train = grasp_data.conditions["in_distribution"].train
+    path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution", 1.05)
+    sl = band_slice_for(grasp_data.bin_hz, train.rows.shape[1], band)
+    assert sl.stop - sl.start > 2 * features._BLOCK_BINS  # several blocks
+    in_memory, emb = kpca_fit_transform(train.rows[:, sl], 3)
+    with read_dataset_lazily(path) as (on_disk, _):
+        from_file, emb_file = kpca_fit_transform(on_disk.rows[:, sl], 3)
+    for name in ("projection", "offset", "eigenvalues", "explained_variance_ratio"):
+        got, want = getattr(from_file, name), getattr(in_memory, name)
+        assert got.tobytes() == want.tobytes(), name
+    assert from_file.fit_id == in_memory.fit_id
+    assert emb_file.tobytes() == emb.tobytes()
+
+    ref_vals, ref_emb, ref_evr, _ = kpca_reference(train.rows[:, sl], 3)
+    assert np.allclose(in_memory.eigenvalues, ref_vals[:3], rtol=1e-9)
+    assert np.allclose(in_memory.explained_variance_ratio, ref_evr, atol=1e-10)
+    for j in range(3):
+        direct = np.abs(emb[:, j] - ref_emb[:, j]).max()
+        flipped = np.abs(emb[:, j] + ref_emb[:, j]).max()
+        assert min(direct, flipped) < 1e-8
 
 
 def test_dataset_path_layout(tmp_path):
