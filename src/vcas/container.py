@@ -16,13 +16,13 @@ Layout (all integers little-endian):
         data  prod(dims) * f64, little-endian, C order
 
 Floats are stored as raw IEEE-754 doubles, so read(write(x)) is
-bit-exact.  Reads and writes hold one copy of each array.
-`open_container` writes arrays block by block, and
-`read_container_lazily` leaves chosen matrices in the file as
-DiskMatrix column-block readers, so their callers need not hold them
-at all.  A corrupted magic, an unknown version, an unexpected kind or
-an array running past the end of the file is rejected before any
-payload is read.
+bit-exact.  Reads and writes hold one copy of each array.  Every
+container is written by `open_container`, one block of rows at a time
+(`write_container` puts each array whole), and `read_container_lazily`
+leaves chosen matrices in the file as DiskMatrix column-block readers,
+so their callers need not hold them at all.  A corrupted magic, an
+unknown version, an unexpected kind or an array running past the end
+of the file is rejected before any payload is read.
 
 This module owns every file vcas writes or reads: each artifact goes
 through `atomic_write` (a temporary file renamed into place) and each
@@ -126,18 +126,16 @@ def write_container(
 ) -> Path:
     """Write named float64 arrays plus a JSON metadata blob to `path`.
 
-    Each array goes to the file straight from its own buffer (a
-    conversion copy only when it is not C-ordered little-endian f64).
+    Each array is put whole through `open_container` (a conversion copy
+    only when it is not C-ordered little-endian f64).
     """
     arrays = {
         name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in arrays.items()
     }
-    head, entries = _layout(kind, {n: a.shape for n, a in arrays.items()}, meta)
-    with atomic_write(path, "wb") as fh:
-        fh.write(head)
-        for (array_head, _), arr in zip(entries, arrays.values()):
-            fh.write(array_head)
-            fh.write(memoryview(arr))
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    with open_container(path, kind, shapes, meta) as put:
+        for name, arr in arrays.items():
+            put(name, 0, arr)
     return Path(path)
 
 

@@ -38,7 +38,7 @@ from .container import (
     open_container,
     read_container,
     read_container_lazily,
-    write_container,
+    write_container,  # noqa: F401  perfbench's tracer looks it up (ROADMAP item 3)
 )
 from .envsim import CONTACT_LABELS, PoseState, contact_type, expert_action
 from .envsim import step as env_step
@@ -182,20 +182,6 @@ class RunConfig:
     @property
     def band_hz(self) -> tuple[float, float]:
         return BANDS[self.band]
-
-
-@dataclass(frozen=True)
-class SplitData:
-    """One condition's rows; train rows exist only for in-distribution."""
-
-    train: Dataset | None
-    test: Dataset
-
-
-@dataclass(frozen=True)
-class TaskData:
-    bin_hz: float
-    conditions: dict[str, SplitData]
 
 
 # One clean response per job, one noisy spectrum row per noise seed:
@@ -424,8 +410,8 @@ def synthesize(plan: SynthPlan, sinks: dict[DatasetKey, RowSink]) -> None:
     _fill_spectra(chunks, len(plan.chirp))
 
 
-def synth_task_data(cfg: RunConfig) -> TaskData:
-    """Synthesize a task's datasets in memory, one rows array each."""
+def synth_task_data(cfg: RunConfig) -> tuple[float, dict[DatasetKey, Dataset]]:
+    """Synthesize a task's datasets in memory: (bin_hz, {key: Dataset})."""
     plan = plan_synthesis(cfg)
     rows = {
         key: np.empty((targets.size, plan.n_bins))
@@ -439,15 +425,10 @@ def synth_task_data(cfg: RunConfig) -> TaskData:
         return put
 
     synthesize(plan, {key: array_sink(key) for key in rows})
-    datasets = {
+    return plan.bin_hz, {
         key: Dataset(rows[key], targets, plan.label_names, key[1], sessions)
         for key, (targets, sessions) in plan.labels.items()
     }
-    conditions = {
-        cond: SplitData(datasets.get((cond, "train")), datasets[cond, "test"])
-        for cond, _ in datasets
-    }
-    return TaskData(plan.bin_hz, conditions)
 
 
 # Spectra are made in chunks of up to this many rows of one job: one
@@ -486,7 +467,7 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
 
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
-    else:  # platforms without CPU affinity (macOS, Windows)
+    else:  # platforms without CPU affinity (macOS)
         cpus = os.cpu_count() or 1
     n_workers = min(cpus, len(chunks))
     with ThreadPoolExecutor(n_workers) as pool:
@@ -585,51 +566,52 @@ def metrics_to_dict(models: TaskModels, rows: list[dict]) -> dict:
     }
 
 
-def _dataset_meta(
-    task: str, condition: str, split: str, bin_hz: float, label_names
-) -> dict:
-    return {
+@contextlib.contextmanager
+def _dataset_file(
+    path, task: str, key: DatasetKey, bin_hz: float, label_names, n_bins: int,
+    labels: tuple[np.ndarray, np.ndarray],
+) -> Iterator[RowSink]:
+    """Open dataset `key`'s file and write its labels; yield its row sink.
+
+    The file appears at `path` only when the block completes.
+    """
+    targets, session_ids = labels
+    shapes = {
+        "rows": (targets.size, n_bins),
+        "targets": targets.shape,
+        "session_ids": session_ids.shape,
+    }
+    meta = {
         "task": task,
-        "condition": condition,
-        "split": split,
+        "condition": key[0],
+        "split": key[1],
         "bin_hz": bin_hz,
         "label_names": list(label_names) if label_names else None,
     }
+    with open_container(path, PayloadKind.DATASET, shapes, meta) as put:
+        put("targets", 0, targets)
+        put("session_ids", 0, session_ids)
+        yield functools.partial(put, "rows")
 
 
 def write_dataset(
     ds: Dataset, path: str | Path, task: str, condition: str, bin_hz: float
 ) -> Path:
-    arrays = {
-        "rows": ds.rows,
-        "targets": ds.targets.astype(np.float64),
-        "session_ids": ds.session_ids.astype(np.float64),
-    }
-    meta = _dataset_meta(task, condition, ds.split_tag, bin_hz, ds.label_names)
-    return write_container(path, PayloadKind.DATASET, arrays, meta)
+    labels = ds.targets, ds.session_ids
+    key, n_bins = (condition, ds.split_tag), ds.rows.shape[1]
+    with _dataset_file(path, task, key, bin_hz, ds.label_names, n_bins, labels) as put:
+        put(0, ds.rows)
+    return Path(path)
 
 
-@contextlib.contextmanager
 def open_dataset(
     plan: SynthPlan, key: DatasetKey, path: str | Path
-) -> Iterator[RowSink]:
-    """Open dataset `key` of `plan` as a file; yield the sink for its rows.
-
-    The targets and session ids are written at once, and the file holds
-    the bytes `write_dataset` would write for the same rows.  It
-    appears at `path` only when the block completes.
-    """
-    targets, sessions = plan.labels[key]
-    shapes = {
-        "rows": (targets.size, plan.n_bins),
-        "targets": targets.shape,
-        "session_ids": sessions.shape,
-    }
-    meta = _dataset_meta(plan.task, *key, plan.bin_hz, plan.label_names)
-    with open_container(path, PayloadKind.DATASET, shapes, meta) as put:
-        put("targets", 0, targets)
-        put("session_ids", 0, sessions)
-        yield functools.partial(put, "rows")
+) -> contextlib.AbstractContextManager[RowSink]:
+    """Open dataset `key` of `plan` as a file; its block yields the row sink."""
+    return _dataset_file(
+        path, plan.task, key, plan.bin_hz, plan.label_names, plan.n_bins,
+        plan.labels[key],
+    )
 
 
 def _as_dataset(path, arrays: dict, meta: dict) -> tuple[Dataset, dict]:

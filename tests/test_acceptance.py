@@ -213,11 +213,13 @@ def test_criterion_5_signal_invariants():
 
 def _task_metric(task, conditions, metric_by_condition):
     cfg = RunConfig(task=task, conditions=conditions, seed=0)
-    data = synth_task_data(cfg)
-    models = train_task(data.conditions["in_distribution"].train, data.bin_hz, cfg)
+    bin_hz, data = synth_task_data(cfg)
+    models = train_task(data["in_distribution", "train"], bin_hz, cfg)
     got = {}
-    for cond, split in data.conditions.items():
-        row, _ = eval_task(models, cond, split.test, data.bin_hz)
+    for (cond, split), ds in data.items():
+        if split != "test":
+            continue
+        row, _ = eval_task(models, cond, ds, bin_hz)
         if row["metric"] in metric_by_condition:
             got[cond] = row["value"]
     del data, models

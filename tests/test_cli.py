@@ -485,12 +485,10 @@ def test_synth_data_files_equal_write_dataset_of_the_in_memory_datasets(
 ):
     args = ["synth-data", *_SYNTH_CASES[case]]
     cfg = config_from_args(build_parser().parse_args(args))
-    data = synth_task_data(cfg)
-    for cond, split in data.conditions.items():
-        for ds in (split.train, split.test):
-            if ds is not None:
-                path = dataset_path(tmp_path / "ref", cfg.task, cond, ds.split_tag)
-                write_dataset(ds, path, cfg.task, cond, data.bin_hz)
+    bin_hz, data = synth_task_data(cfg)
+    for (cond, split), ds in data.items():
+        path = dataset_path(tmp_path / "ref", cfg.task, cond, split)
+        write_dataset(ds, path, cfg.task, cond, bin_hz)
     want = {p.relative_to(tmp_path / "ref"): p.read_bytes()
             for p in (tmp_path / "ref").rglob("*.vcas")}
     if case == "contact":

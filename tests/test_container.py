@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -139,35 +140,23 @@ def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, fail_at)
     write_container(path, PayloadKind.DATASET, {"x": np.ones(3)}, {"v": 1})
     before = path.read_bytes()
     halves = []
+    pwrite = os.pwrite
 
-    class DiskFullMidArray:
-        """An open file whose first array write stops halfway.
+    def disk_full_mid_array(fd, data, offset):
+        """Write half of the first array's bytes, then fail.
 
-        The header goes out as bytes, each array as a memoryview of its
-        buffer.
+        Headers go out as bytes, each array as a view of its buffer.
         """
-
-        def __init__(self, file, mode):
-            self._fh = open(file, mode)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self._fh.close()
-
-        def write(self, data):
-            if isinstance(data, memoryview):
-                halves.append(self._fh.write(data.cast("B")[: data.nbytes // 2]))
-                self._fh.flush()
-                raise OSError("disk full")
-            return self._fh.write(data)
+        if isinstance(data.obj, np.ndarray):
+            halves.append(pwrite(fd, data[: data.nbytes // 2], offset))
+            raise OSError("disk full")
+        return pwrite(fd, data, offset)
 
     def refuse_replace(src, dst):
         raise OSError("rename refused")
 
     if fail_at == "write_bytes":
-        monkeypatch.setattr(container, "open", DiskFullMidArray, raising=False)
+        monkeypatch.setattr(os, "pwrite", disk_full_mid_array)
     else:
         monkeypatch.setattr(os, "replace", refuse_replace)
     with pytest.raises(DataError, match="cannot write"):
@@ -205,6 +194,36 @@ def test_array_larger_than_the_file_is_rejected_before_allocating(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="truncated"):
         read_container(bad)
+
+
+def test_write_container_bytes_follow_the_documented_layout(tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {
+        "fortran": np.asfortranarray(rng.normal(size=(3, 4))),
+        "int64": np.arange(-2, 3, dtype=np.int64),
+        "big": rng.normal(size=5).astype(">f8"),
+        "cube": rng.normal(size=(2, 3, 2)),
+    }
+    meta = {"b": [1, 2], "a": "x"}
+    meta_bytes = b'{"a": "x", "b": [1, 2]}'  # sorted keys
+    # version 1, kind 4 (KPCA_MODEL), metadata length
+    want = b"VCAS" + struct.pack("<HHI", 1, 4, len(meta_bytes)) + meta_bytes
+    want += struct.pack("<I", len(arrays))
+    for name, arr in arrays.items():
+        want += struct.pack("<H", len(name)) + name.encode("utf-8")
+        want += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+        values = arr.ravel(order="C").tolist()  # C order, whatever the memory order
+        want += struct.pack(f"<{len(values)}d", *values)
+
+    path = write_container(tmp_path / "x.vcas", PayloadKind.KPCA_MODEL, arrays, meta)
+    assert path.read_bytes() == want
+    kind, got, got_meta = read_container(path)
+    assert (kind, got_meta) == (PayloadKind.KPCA_MODEL, meta)
+    assert list(got) == list(arrays)
+    for name, arr in arrays.items():
+        assert got[name].dtype == np.float64
+        assert got[name].shape == arr.shape
+        assert np.array_equal(got[name], arr), name
 
 
 def test_open_container_blocks_in_any_order_equal_write_container(tmp_path):

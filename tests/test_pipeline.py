@@ -55,8 +55,8 @@ def grasp_data():
 
 @pytest.fixture(scope="module")
 def grasp_models(grasp_data):
-    train = grasp_data.conditions["in_distribution"].train
-    return train_task(train, grasp_data.bin_hz, tiny_grasp_config())
+    bin_hz, data = grasp_data
+    return train_task(data["in_distribution", "train"], bin_hz, tiny_grasp_config())
 
 
 # -------------------------------------------------------------- config
@@ -109,48 +109,50 @@ def test_preset_task_mismatch_is_rejected():
 
 
 def test_grasp_synthesis_shapes(grasp_data):
-    assert set(grasp_data.conditions) == {"in_distribution", "perturbed"}
-    split = grasp_data.conditions["in_distribution"]
-    for ds in (split.train, split.test, grasp_data.conditions["perturbed"].test):
+    _, data = grasp_data
+    assert {cond for cond, _ in data} == {"in_distribution", "perturbed"}
+    train, test = data["in_distribution", "train"], data["in_distribution", "test"]
+    for ds in (train, test, data["perturbed", "test"]):
         assert ds.label_names == ("base", "middle", "tip")
-    assert len(split.train) == 2 * 3 * 2  # sessions x classes x per-class
-    assert len(split.test) == 1 * 3 * 2
-    assert split.train.rows.shape[1] == 21001
-    perturbed = grasp_data.conditions["perturbed"]
-    assert perturbed.train is None
-    assert len(perturbed.test) == 3 * 2
+    assert len(train) == 2 * 3 * 2  # sessions x classes x per-class
+    assert len(test) == 1 * 3 * 2
+    assert train.rows.shape[1] == 21001
+    assert ("perturbed", "train") not in data
+    assert len(data["perturbed", "test"]) == 3 * 2
 
 
 def test_grasp_sessions_are_disjoint(grasp_data):
-    split = grasp_data.conditions["in_distribution"]
-    train_sessions = set(split.train.session_ids.tolist())
-    test_sessions = set(split.test.session_ids.tolist())
-    perturbed_sessions = set(
-        grasp_data.conditions["perturbed"].test.session_ids.tolist()
-    )
+    _, data = grasp_data
+    train_sessions = set(data["in_distribution", "train"].session_ids.tolist())
+    test_sessions = set(data["in_distribution", "test"].session_ids.tolist())
+    perturbed_sessions = set(data["perturbed", "test"].session_ids.tolist())
     assert not train_sessions & test_sessions
     assert not train_sessions & perturbed_sessions
     assert not test_sessions & perturbed_sessions
 
 
 def test_grasp_labels_balanced(grasp_data):
-    train = grasp_data.conditions["in_distribution"].train
+    _, data = grasp_data
+    train = data["in_distribution", "train"]
     counts = np.bincount(train.targets, minlength=3)
     assert counts.tolist() == [4, 4, 4]
 
 
 def test_synthesis_deterministic_by_seed(grasp_data):
-    again = synth_task_data(tiny_grasp_config())
-    a = grasp_data.conditions["in_distribution"].train.rows
-    b = again.conditions["in_distribution"].train.rows
+    key = ("in_distribution", "train")
+    _, data = grasp_data
+    _, again = synth_task_data(tiny_grasp_config())
+    a = data[key].rows
+    b = again[key].rows
     assert a.tobytes() == b.tobytes()
-    other = synth_task_data(tiny_grasp_config(seed=1))
-    assert a.tobytes() != other.conditions["in_distribution"].train.rows.tobytes()
+    _, other = synth_task_data(tiny_grasp_config(seed=1))
+    assert a.tobytes() != other[key].rows.tobytes()
 
 
 def test_perturbed_rows_differ_from_in_distribution(grasp_data):
-    a = grasp_data.conditions["in_distribution"].test.rows
-    b = grasp_data.conditions["perturbed"].test.rows
+    _, data = grasp_data
+    a = data["in_distribution", "test"].rows
+    b = data["perturbed", "test"].rows
     assert a.shape == b.shape
     assert not np.array_equal(a, b)
 
@@ -161,8 +163,8 @@ def test_pose_synthesis_regression_targets():
         train_per_class=1, test_per_class=1,
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
-    data = synth_task_data(cfg)
-    train = data.conditions["in_distribution"].train
+    _, data = synth_task_data(cfg)
+    train = data["in_distribution", "train"]
     assert train.label_names is None
     assert len(train) == 18
     assert sorted(set(train.targets.tolist())) == [10.0 * k for k in range(18)]
@@ -174,13 +176,13 @@ def test_contact_synthesis_tiny():
         train_per_class=5, test_per_class=4,
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
-    data = synth_task_data(cfg)
-    split = data.conditions["in_distribution"]
-    for ds in (split.train, split.test):
+    _, data = synth_task_data(cfg)
+    train, test = data["in_distribution", "train"], data["in_distribution", "test"]
+    for ds in (train, test):
         assert ds.label_names == ("diagonal", "in_hole", "line")
-    assert len(split.train) == 15
-    assert len(split.test) == 12
-    counts = np.bincount(split.train.targets, minlength=3)
+    assert len(train) == 15
+    assert len(test) == 12
+    counts = np.bincount(train.targets, minlength=3)
     assert counts.tolist() == [5, 5, 5]
 
 
@@ -203,7 +205,7 @@ def _fixed_jobs(cfg, preset):
 
 def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
     monkeypatch.setattr(vcas.pipeline, "_class_bank_jobs", _fixed_jobs)
-    data = synth_task_data(RunConfig(task="grasp", conditions=("in_distribution",)))
+    _, data = synth_task_data(RunConfig(task="grasp", conditions=("in_distribution",)))
     _, jobs = _fixed_jobs(None, None)
     chirp = generate_chirp(default_chirp_spec())
     clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
@@ -215,8 +217,8 @@ def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
             want[role][0].append(np.abs(np.fft.rfft(noisy)))
             want[role][1].append(target)
             want[role][2].append(sid)
-    split = data.conditions["in_distribution"]
-    for role, got in (("train", split.train), ("test", split.test)):
+    for role in ("train", "test"):
+        got = data["in_distribution", role]
         rows, targets, sessions = want[role]
         assert got.rows.tobytes() == np.array(rows).tobytes()
         assert got.targets.tolist() == targets
@@ -239,18 +241,15 @@ def test_synthesis_is_the_same_with_one_worker_or_four(monkeypatch):
             vcas.pipeline.os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)),
             raising=False,
         )
-        runs.append(synth_task_data(cfg))
+        runs.append(synth_task_data(cfg)[1])
     assert pools == [1, 4]
     one, four = runs
-    for cond, split in one.conditions.items():
-        for side in ("train", "test"):
-            a, b = getattr(split, side), getattr(four.conditions[cond], side)
-            if a is None:
-                assert b is None
-                continue
-            assert a.rows.tobytes() == b.rows.tobytes()
-            assert a.targets.tobytes() == b.targets.tobytes()
-            assert a.session_ids.tobytes() == b.session_ids.tobytes()
+    assert set(one) == set(four)
+    for key, a in one.items():
+        b = four[key]
+        assert a.rows.tobytes() == b.rows.tobytes()
+        assert a.targets.tobytes() == b.targets.tobytes()
+        assert a.session_ids.tobytes() == b.session_ids.tobytes()
 
 
 def test_non_finite_noisy_chunk_in_a_worker_raises_parameter_error(monkeypatch):
@@ -275,7 +274,8 @@ def test_train_task_builds_models(grasp_data, grasp_models):
     assert grasp_models.kpca.projection.shape == (20980, 3)  # full band
     assert grasp_models.train_sessions == (0, 1)
     assert grasp_models.mlp.in_dim == 3
-    train = grasp_data.conditions["in_distribution"].train
+    _, data = grasp_data
+    train = data["in_distribution", "train"]
     assert grasp_models.mlp.label_names == train.label_names
     assert grasp_models.history is not None
 
@@ -288,18 +288,20 @@ def test_band_slice_values():
 
 def test_low_band_training(grasp_data):
     cfg = tiny_grasp_config(band="low")
-    train = grasp_data.conditions["in_distribution"].train
-    models = train_task(train, grasp_data.bin_hz, cfg)
+    bin_hz, data = grasp_data
+    models = train_task(data["in_distribution", "train"], bin_hz, cfg)
     assert models.kpca.projection.shape[0] == 8753 - 20
 
 
 # ---------------------------------------------------------- evaluation
 
 
-def _score_each(models, data):
+def _score_each(models, grasp_data):
+    bin_hz, data = grasp_data
     return {
-        cond: eval_task(models, cond, split.test, data.bin_hz)
-        for cond, split in data.conditions.items()
+        cond: eval_task(models, cond, ds, bin_hz)
+        for (cond, split), ds in data.items()
+        if split == "test"
     }
 
 
@@ -325,23 +327,24 @@ def test_eval_task_scores_a_regressor_with_a_per_target_report():
         train_per_class=1, test_per_class=1, n_components=3,
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
-    data = synth_task_data(cfg)
-    split = data.conditions["in_distribution"]
-    models = train_task(split.train, data.bin_hz, cfg)
-    row, report = eval_task(models, "in_distribution", split.test, data.bin_hz)
+    bin_hz, data = synth_task_data(cfg)
+    test = data["in_distribution", "test"]
+    models = train_task(data["in_distribution", "train"], bin_hz, cfg)
+    row, report = eval_task(models, "in_distribution", test, bin_hz)
     assert row["metric"] == "rmse_deg"
     assert row["value"] == report.rmse
-    assert report.per_target_count.sum() == len(split.test)
+    assert report.per_target_count.sum() == len(test)
 
 
 def test_eval_task_rejects_a_test_session_seen_in_training(grasp_data, grasp_models):
-    test = grasp_data.conditions["in_distribution"].test
+    bin_hz, data = grasp_data
+    test = data["in_distribution", "test"]
     leaked = Dataset(
         test.rows, test.targets, test.label_names, "test",
         np.full(len(test), grasp_models.train_sessions[-1]),
     )
     with pytest.raises(ParameterError, match="share sessions"):
-        eval_task(grasp_models, "in_distribution", leaked, grasp_data.bin_hz)
+        eval_task(grasp_models, "in_distribution", leaked, bin_hz)
 
 
 def test_metrics_to_dict_shape(grasp_data, grasp_models):
@@ -358,7 +361,8 @@ def test_metrics_to_dict_shape(grasp_data, grasp_models):
 
 
 def test_dataset_round_trip(tmp_path, grasp_data):
-    ds = grasp_data.conditions["in_distribution"].test
+    _, data = grasp_data
+    ds = data["in_distribution", "test"]
     path = write_dataset(ds, tmp_path / "d.vcas", "grasp", "in_distribution", 1.05)
     loaded, meta = read_dataset(path)
     assert loaded.rows.tobytes() == ds.rows.tobytes()
@@ -402,9 +406,10 @@ def test_dataset_rejects_non_integral_class_targets(tmp_path):
 def test_kpca_fits_a_file_and_an_array_of_the_same_rows_to_the_same_bits(
     tmp_path, grasp_data, band
 ):
-    train = grasp_data.conditions["in_distribution"].train
+    bin_hz, data = grasp_data
+    train = data["in_distribution", "train"]
     path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution", 1.05)
-    sl = band_slice_for(grasp_data.bin_hz, train.rows.shape[1], band)
+    sl = band_slice_for(bin_hz, train.rows.shape[1], band)
     assert sl.stop - sl.start > 2 * features._BLOCK_BINS  # several blocks
     in_memory, emb = kpca_fit_transform(train.rows[:, sl], 3)
     with read_dataset_lazily(path) as (on_disk, _):
