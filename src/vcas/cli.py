@@ -56,7 +56,6 @@ from .pipeline import (
     metrics_to_dict,
     open_dataset,
     plan_synthesis,
-    read_dataset,
     read_dataset_lazily,
     synthesize,
     train_task,
@@ -65,8 +64,9 @@ from .pipeline import (
 
 # perfbench's tracer looks these up here (ROADMAP item 3), so they stay
 # importable until its SITES table is retired; synth-data streams its
-# rows through plan_synthesis, synthesize and open_dataset instead.
-from .pipeline import synth_task_data, write_dataset  # noqa: F401, E402
+# rows through plan_synthesis, synthesize and open_dataset, and eval
+# reads its test files through read_dataset_lazily, instead.
+from .pipeline import read_dataset, synth_task_data, write_dataset  # noqa: F401, E402
 from .policy import (
     as_rollout_policy,
     eval_report_to_dict,
@@ -308,38 +308,39 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     for p in (kpca_path, mlp_path):
         if not p.exists():
             raise DataError(f"no model at {p}; run train first")
-    kpca, kpca_meta = load_kpca(kpca_path)
-    mlp, mlp_meta = load_mlp(mlp_path)
-    if mlp_meta.get("fit_id") != kpca_meta.get("fit_id"):
-        raise DataError(
-            f"{mlp_path} was trained on kPCA fit {mlp_meta.get('fit_id')} but "
-            f"{kpca_path} holds fit {kpca_meta.get('fit_id')}; the two files "
-            "come from different train runs"
-        )
-    if "train_sessions" not in kpca_meta:
-        raise DataError(f"{kpca_path} lists no training sessions; rerun train")
-
-    models = TaskModels(
-        cfg.task, cfg.band, kpca, mlp, tuple(kpca_meta["train_sessions"])
-    )
-    # Conditions are read and scored one at a time, in sorted order, and
-    # each test file is dropped before the next is read, so eval holds one
-    # test file at once.  The training sessions come from the kPCA
-    # metadata, so the train file is not read.
+    # The projection and each test file's rows stay in their files:
+    # kernel PCA reads both in column blocks, so eval holds neither.
+    # Conditions are scored one at a time, in sorted order.  The training
+    # sessions come from the kPCA metadata, so the train file is not read.
     rows: list[dict] = []
     reports: dict = {}
-    for cond in sorted(cfg.conditions_resolved):
-        test_path = dataset_path(out_dir, cfg.task, cond, "test")
-        if not test_path.exists():
-            if cond == "in_distribution":
-                raise DataError(
-                    f"no test data at {test_path}; run synth-data first"
+    with load_kpca(kpca_path) as (kpca, kpca_meta):
+        mlp, mlp_meta = load_mlp(mlp_path)
+        if mlp_meta.get("fit_id") != kpca_meta.get("fit_id"):
+            raise DataError(
+                f"{mlp_path} was trained on kPCA fit {mlp_meta.get('fit_id')} but "
+                f"{kpca_path} holds fit {kpca_meta.get('fit_id')}; the two files "
+                "come from different train runs"
+            )
+        if "train_sessions" not in kpca_meta:
+            raise DataError(f"{kpca_path} lists no training sessions; rerun train")
+
+        models = TaskModels(
+            cfg.task, cfg.band, kpca, mlp, tuple(kpca_meta["train_sessions"])
+        )
+        for cond in sorted(cfg.conditions_resolved):
+            test_path = dataset_path(out_dir, cfg.task, cond, "test")
+            if not test_path.exists():
+                if cond == "in_distribution":
+                    raise DataError(
+                        f"no test data at {test_path}; run synth-data first"
+                    )
+                continue
+            with read_dataset_lazily(test_path) as (test, meta):
+                row, reports[cond] = eval_task(
+                    models, cond, test, float(meta["bin_hz"])
                 )
-            continue
-        test, meta = read_dataset(test_path)
-        row, reports[cond] = eval_task(models, cond, test, float(meta["bin_hz"]))
-        rows.append(row)
-        del test
+            rows.append(row)
 
     edir = Path(out_dir) / cfg.task / "eval"
     metrics_path = edir / f"metrics_{cfg.band}.json"

@@ -19,10 +19,11 @@ Floats are stored as raw IEEE-754 doubles, so read(write(x)) is
 bit-exact.  Reads and writes hold one copy of each array.  Every
 container is written by `open_container`, one block of rows at a time
 (`write_container` puts each array whole), and `read_container_lazily`
-leaves chosen matrices in the file as DiskMatrix column-block readers,
-so their callers need not hold them at all.  A corrupted magic, an
-unknown version, an unexpected kind or an array running past the end
-of the file is rejected before any payload is read.
+leaves a chosen matrix in the file as a DiskMatrix, which reads ranges
+of its rows and columns on demand, so its callers need not hold it at
+all.  A corrupted magic, an unknown version, an unexpected kind or an
+array running past the end of the file is rejected before any payload
+is read.
 
 This module owns every file vcas writes or reads: each artifact goes
 through `atomic_write` (a temporary file renamed into place) and each
@@ -190,43 +191,55 @@ def open_container(
 
 
 class DiskMatrix:
-    """A 2-D array left in its container file, read in column blocks.
+    """A 2-D array left in its container file, read in blocks.
 
-    `m[:, c0:c1]` is the DiskMatrix of those columns and reads nothing;
-    `np.asarray(m)` reads m's columns of every row into a new C-ordered
-    array, with one positional read per row.  A DiskMatrix reads its
-    file only while the `read_container_lazily` block that made it is
-    open.
+    `m[r0:r1, c0:c1]` (or `m[r0:r1]`) is the DiskMatrix of those rows
+    and columns and reads nothing; `np.asarray(m)` reads them into a new
+    C-ordered array.  A range of whole rows lies in one piece of the
+    file and is read with one positional read; a column band takes one
+    positional read per row.  A DiskMatrix reads its file only while the
+    `read_container_lazily` block that made it is open.
     """
 
     def __init__(self, fh: IO[bytes], path, offset: int, shape: tuple[int, ...],
-                 cols: range | None = None):
+                 rows: range | None = None, cols: range | None = None):
         self._fh, self._path, self._offset = fh, path, offset
         self._n_rows, self._row_len = shape
+        self._rows = range(self._n_rows) if rows is None else rows
         self._cols = range(self._row_len) if cols is None else cols
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._n_rows, len(self._cols)
+        return len(self._rows), len(self._cols)
 
     def __getitem__(self, key) -> "DiskMatrix":
-        ranges = isinstance(key, tuple) and len(key) == 2
-        ranges = ranges and all(isinstance(k, slice) for k in key)
-        cols = self._cols[key[1]] if ranges and key[0] == slice(None) else None
-        if cols is None or cols.step != 1:
-            raise IndexError("a DiskMatrix takes [:, c0:c1] column ranges only")
+        if isinstance(key, slice):
+            key = key, slice(None)
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(k, slice) for k in key)):
+            raise IndexError("a DiskMatrix takes [r0:r1, c0:c1] ranges only")
+        rows, cols = self._rows[key[0]], self._cols[key[1]]
+        if rows.step != 1 or cols.step != 1:
+            raise IndexError("a DiskMatrix takes [r0:r1, c0:c1] ranges only")
         shape = (self._n_rows, self._row_len)
-        return DiskMatrix(self._fh, self._path, self._offset, shape, cols)
+        return DiskMatrix(self._fh, self._path, self._offset, shape, rows, cols)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("reading a DiskMatrix always makes a new array")
         fd = self._fh.fileno()  # ValueError once the file is closed
         out = np.empty(self.shape, dtype="<f8")
-        first = self._offset + 8 * self._cols.start
-        for i, row in enumerate(out):
-            if os.preadv(fd, [row], first + 8 * i * self._row_len) != row.nbytes:
-                raise DataError(f"truncated or corrupt container: {self._path}")
+        first = self._offset + 8 * (self._rows.start * self._row_len + self._cols.start)
+        # Whole rows lie in one piece of the file; a band's rows do not.
+        whole_rows = len(self._cols) == self._row_len
+        for i, part in enumerate([out.reshape(-1)] if whole_rows else out):
+            view = memoryview(part.view(np.uint8))
+            offset = first + 8 * i * self._row_len
+            while view:  # a read may stop short of what was asked
+                n = os.preadv(fd, [view], offset)
+                if n == 0:
+                    raise DataError(f"truncated or corrupt container: {self._path}")
+                view, offset = view[n:], offset + n
         return out.astype(np.float64 if dtype is None else dtype, copy=False)
 
 

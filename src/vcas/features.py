@@ -8,6 +8,7 @@ what the estimators in `learn` consume.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from .container import (
     DiskMatrix,
     PayloadKind,
     atomic_write,
-    read_container,
+    read_container,  # noqa: F401  perfbench's tracer looks it up (ROADMAP item 3)
+    read_container_lazily,
     write_container,
 )
 from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
@@ -144,17 +146,6 @@ def band_select(s: Spectrum, f_low: float, f_high: float) -> Spectrum:
     )
 
 
-def _as_matrix(rows: np.ndarray, name: str) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise ParameterError(f"{name} must be a row vector or matrix of rows")
-    if not np.isfinite(rows).all():
-        raise ParameterError(f"{name} must be finite")
-    return rows
-
-
 def _row_norms(squares: np.ndarray, name: str) -> np.ndarray:
     """Row norms from their squares; an all-zero row is degenerate."""
     norms = np.sqrt(squares)
@@ -187,9 +178,12 @@ class KernelPcaModel:
     offset = -m @ C + g * (column sums of C).  No unit rows are built:
     the fit computes projection = X.T @ ((C - mean of C's rows) / |X|)
     from the raw rows X, and kpca_transform takes x @ projection / |x|.
+    A loaded model's projection is a DiskMatrix left in its file
+    (load_kpca), read by kpca_transform one column block's rows at a
+    time.
     """
 
-    projection: np.ndarray
+    projection: np.ndarray | DiskMatrix
     offset: np.ndarray
     eigenvalues: np.ndarray
     explained_variance_ratio: np.ndarray
@@ -301,24 +295,45 @@ def kpca_fit(rows: np.ndarray, n_components: int) -> KernelPcaModel:
     return kpca_fit_transform(rows, n_components)[0]
 
 
-def kpca_transform(model: KernelPcaModel, rows: np.ndarray) -> np.ndarray:
+def kpca_transform(
+    model: KernelPcaModel, rows: np.ndarray | DiskMatrix
+) -> np.ndarray:
     """Project one row (1-D) or a matrix of rows into component space.
 
     Equal to centering each row's cosine-kernel row against the
     training set and multiplying by the scaled eigenvectors, folded
     into unit(rows) @ projection + offset and computed on the raw rows
-    as (rows @ projection) / |rows| + offset.  `rows` is only read.
+    as (rows @ projection) / |rows| + offset.  The rows and the
+    projection (each an array or a container's DiskMatrix) are read in
+    the fit's column blocks: bins c0:c1 of the rows against rows c0:c1
+    of the projection, summed over the blocks in order, so an array and
+    a file give the same bits and no bins-sized array is held.  `rows`
+    is only read.
     """
-    single = np.ndim(rows) == 1
-    rows_m = _as_matrix(rows, "rows")
-    if rows_m.shape[1] != model.n_bins:
+    single = len(np.shape(rows)) == 1
+    if not isinstance(rows, DiskMatrix):
+        rows = np.asarray(rows, dtype=np.float64)
+        rows = rows[None, :] if single else rows
+    shape = np.shape(rows)
+    if len(shape) != 2 or shape[1] == 0:
+        raise ParameterError("rows must be a row vector or matrix of rows")
+    if shape[1] != model.n_bins:
         raise ParameterError(
-            f"row length {rows_m.shape[1]} does not match training "
-            f"length {model.n_bins}"
+            f"row length {shape[1]} does not match training length {model.n_bins}"
         )
-    # Unlike np.linalg.norm(axis=1), einsum makes no rows-sized temporary.
-    norms = _row_norms(np.einsum("ij,ij->i", rows_m, rows_m), "rows")
-    out = rows_m @ model.projection / norms[:, None] + model.offset
+    squares = np.zeros(shape[0])
+    out = np.zeros((shape[0], model.n_components))
+    product = np.empty_like(out)
+    for cols, block in _column_blocks(rows):
+        if not np.isfinite(block).all():
+            raise ParameterError("rows must be finite")
+        # Unlike np.linalg.norm(axis=1), einsum makes no block-sized temporary.
+        squares += np.einsum("ij,ij->i", block, block)
+        projection = np.ascontiguousarray(model.projection[cols, :], dtype=np.float64)
+        out += np.matmul(block, projection, out=product)
+        del block, projection  # before the next block is read
+    out /= _row_norms(squares, "rows")[:, None]
+    out += model.offset
     return out[0] if single else out
 
 
@@ -350,18 +365,25 @@ def save_kpca(
     )
 
 
-def load_kpca(path: str | Path) -> tuple[KernelPcaModel, dict]:
-    """Read a model written by save_kpca; returns (model, metadata)."""
-    _, arrays, meta = read_container(path, expect_kind=PayloadKind.KPCA_MODEL)
-    if "projection" not in arrays or "offset" not in arrays:
-        raise DataError(
-            f"{path} holds a kernel-form kPCA model without a projection "
-            "and offset; rerun train to refit it"
+@contextlib.contextmanager
+def load_kpca(path: str | Path) -> Iterator[tuple[KernelPcaModel, dict]]:
+    """Open a model written by save_kpca; the block yields (model, metadata).
+
+    The projection stays in the file as a DiskMatrix, which
+    kpca_transform reads one column block's rows at a time until the
+    block exits.
+    """
+    with read_container_lazily(path, PayloadKind.KPCA_MODEL, "projection") as read:
+        _, arrays, meta = read
+        if "projection" not in arrays or "offset" not in arrays:
+            raise DataError(
+                f"{path} holds a kernel-form kPCA model without a projection "
+                "and offset; rerun train to refit it"
+            )
+        model = KernelPcaModel(
+            projection=arrays["projection"],
+            offset=arrays["offset"],
+            eigenvalues=arrays["eigenvalues"],
+            explained_variance_ratio=arrays["explained_variance_ratio"],
         )
-    model = KernelPcaModel(
-        projection=arrays["projection"],
-        offset=arrays["offset"],
-        eigenvalues=arrays["eigenvalues"],
-        explained_variance_ratio=arrays["explained_variance_ratio"],
-    )
-    return model, meta
+        yield model, meta

@@ -45,8 +45,6 @@ from .envsim import step as env_step
 from .errors import DataError, ParameterError
 from .features import (
     KernelPcaModel,
-    Spectrum,
-    band_select,
     fft_magnitude,
     kpca_fit_transform,
     kpca_transform,
@@ -476,10 +474,19 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
 
 
 def band_slice_for(bin_hz: float, n_bins: int, band: str) -> slice:
-    """Column slice of a full-spectrum row matrix for a named band."""
+    """Column slice of a full-spectrum row matrix for a named band.
+
+    Bin k sits at k * bin_hz; like band_select, the band keeps the bins
+    with f_low <= frequency < f_high.
+    """
     lo, hi = BANDS[band]
-    ref = band_select(Spectrum(np.ones(n_bins), bin_hz), lo, hi)
-    return slice(ref.first_bin, ref.first_bin + len(ref))
+    start, stop = np.searchsorted(np.arange(n_bins) * bin_hz, (lo, hi))
+    if start == stop:
+        raise ParameterError(
+            f"band {band!r} [{lo}, {hi}) Hz selects none of {n_bins} bins "
+            f"{bin_hz} Hz apart"
+        )
+    return slice(int(start), int(stop))
 
 
 @dataclass(frozen=True)
@@ -642,7 +649,8 @@ def read_dataset_lazily(path: str | Path) -> Iterator[tuple[Dataset, dict]]:
     """read_dataset, with the rows left in the file as a DiskMatrix.
 
     The rows are read, in column blocks, only by whoever takes them
-    (train_task's kernel PCA), and only until the block exits.
+    (kernel PCA's fit in train_task and its transform in eval_task),
+    and only until the block exits.
     """
     with read_container_lazily(path, PayloadKind.DATASET, "rows") as (_, arrays, meta):
         yield _as_dataset(path, arrays, meta)

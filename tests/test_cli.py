@@ -350,8 +350,8 @@ def test_eval_without_train_file_still_rejects_a_shared_session(workspace, tmp_p
 def test_kpca_file_without_training_sessions_exits_2(workspace, tmp_path, capsys):
     shutil.copytree(workspace / "grasp", tmp_path / "grasp")
     kpca_path = tmp_path / "grasp" / "models" / "kpca_full.vcas"
-    kpca, _ = load_kpca(kpca_path)
-    save_kpca(kpca, kpca_path)  # same fit, no session list
+    with load_kpca(kpca_path) as (kpca, _):
+        save_kpca(kpca, kpca_path)  # same fit, no session list
     capsys.readouterr()
     assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 2
     assert "lists no training sessions" in capsys.readouterr().err
@@ -386,21 +386,43 @@ def _peak_rss(*argvs: list[str]) -> list[int]:
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
-    # Default grasp sizes: the train file (300 rows) outweighs the two
-    # test files (75 rows each), so reading it would break the bound.
-    args = ["--task", "grasp", "--set", "n_components=3", "--set", "max_epochs=2",
+    # Default grasp training sizes, 200 components and 300-row test
+    # files: each test file holds 50 MB of rows and the projection 34 MB,
+    # so holding either breaks the bound.
+    n_components = 200
+    args = ["--task", "grasp", "--set", "test_per_class=100",
+            "--set", f"n_components={n_components}", "--set", "max_epochs=2",
             "--out", str(tmp_path)]
     for command in ("synth-data", "train"):
         assert main([command, *args]) == 0
     capsys.readouterr()
     grasp = tmp_path / "grasp"
-    read = [grasp / "models" / "kpca_full.vcas", grasp / "models" / "mlp_full.vcas",
-            *sorted((grasp / "data").glob("*.test.vcas"))]
     bare, peak = _peak_rss(
         ["-c", "import vcas.cli"],
         ["-c", "from vcas.cli import run; run()", "eval", *args],
     )
-    bound = bare + 2 * sum(p.stat().st_size for p in read)
+    n_test = 0
+    for path in (grasp / "data").glob("*.test.vcas"):
+        with vcas.pipeline.read_dataset_lazily(path) as (test, _):
+            n_test = max(n_test, len(test))
+    # eval reads the test rows and the projection in column blocks, so
+    # it holds one block of test rows (n_test x 2,048 bins, 4.9 MB) and
+    # its finite-check mask, one block of projection rows (2,048 x 200,
+    # 3.3 MB), the embeddings and their block product, and the MLP (its
+    # file's bytes).  The fixed 8 MB holds the labels, the MLP's
+    # activations and the allocator's arena; threaded OpenBLAS touches
+    # about 5 MB of gemm buffers per thread.  Nothing here grows with
+    # the bins of a row or of the projection.
+    block = n_test * features._BLOCK_BINS * (8 + 1)
+    projection_block = features._BLOCK_BINS * n_components * 8
+    embeddings = 2 * n_test * n_components * 8
+    mlp = (grasp / "models" / "mlp_full.vcas").stat().st_size
+    if hasattr(os, "sched_getaffinity"):
+        threads = len(os.sched_getaffinity(0))
+    else:
+        threads = os.cpu_count()
+    slack = 8 * 2**20 + threads * 5 * 2**20
+    bound = bare + block + projection_block + embeddings + mlp + slack
     assert peak <= bound, f"eval peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
 
 

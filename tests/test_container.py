@@ -268,8 +268,15 @@ def test_a_disk_matrix_reads_column_ranges_of_its_array(tmp_path):
         assert band.shape == (7, 3)
         assert np.asarray(band[:, 1:]).tobytes() == rows[:, 2:4].copy().tobytes()
         assert np.asarray(view[:, 4:9]).tobytes() == rows[:, 4:].copy().tobytes()
-        for key in ((0, slice(None)), (slice(None), 2), (slice(1, 3), slice(None)),
-                    (slice(None), slice(0, 5, 2)), slice(None)):
+        # Row ranges, of whole rows (one read) and of a column band.
+        for key in ((slice(1, 3), slice(None)), slice(None), slice(5, 9),
+                    (slice(2, 6), slice(1, 4)), (slice(4, 4), slice(None))):
+            want = rows[key].copy()
+            assert view[key].shape == want.shape
+            assert np.asarray(view[key]).tobytes() == want.tobytes()
+        assert np.asarray(band[3:, 1:]).tobytes() == rows[3:, 2:4].copy().tobytes()
+        for key in ((0, slice(None)), (slice(None), 2), (slice(None), slice(0, 5, 2)),
+                    (slice(0, 7, 2), slice(None)), 0):
             with pytest.raises(IndexError):
                 view[key]
     with pytest.raises(ValueError):  # the file is closed with the block
@@ -282,8 +289,11 @@ def test_a_disk_matrix_read_past_a_shrunk_file_is_a_data_error(tmp_path):
     with container.read_container_lazily(path, on_disk="m") as (_, got, _):
         os.truncate(path, path.stat().st_size - 8)
         assert np.asarray(got["m"][:, :2]).tobytes() == np.ones((4, 2)).tobytes()
+        assert np.asarray(got["m"][:3]).tobytes() == np.ones((3, 3)).tobytes()
         with pytest.raises(DataError, match="truncated"):
             np.asarray(got["m"])
+        with pytest.raises(DataError, match="truncated"):
+            np.asarray(got["m"][2:4, :])
 
 
 def test_a_lazy_read_checks_every_header_before_any_block(tmp_path, monkeypatch):

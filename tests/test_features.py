@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vcas.features as features
 from _oracles import covariance_pca_projections, kpca_reference
-from vcas.container import PayloadKind, write_container
+from vcas.container import PayloadKind, read_container_lazily, write_container
 from vcas.errors import DataError, DegenerateInputError, ParameterError
 from vcas.features import (
     Spectrum,
@@ -312,13 +312,49 @@ def test_kpca_save_load_round_trip(tmp_path):
     new = np.abs(rng.normal(size=(3, 8))) + 0.1
     model = kpca_fit(rows, 4)
     path = save_kpca(model, tmp_path / "k.vcas", {"train_sessions": [0, 2]})
-    loaded, meta = load_kpca(path)
-    assert meta == {"fit_id": model.fit_id, "train_sessions": [0, 2]}
-    assert loaded.projection.shape == (8, 4)
-    assert loaded.projection.tobytes() == model.projection.tobytes()
-    assert loaded.offset.tobytes() == model.offset.tobytes()
-    assert loaded.eigenvalues.tobytes() == model.eigenvalues.tobytes()
-    assert kpca_transform(loaded, new).tobytes() == kpca_transform(model, new).tobytes()
+    with load_kpca(path) as (loaded, meta):
+        assert meta == {"fit_id": model.fit_id, "train_sessions": [0, 2]}
+        assert loaded.projection.shape == (8, 4)
+        assert np.asarray(loaded.projection).tobytes() == model.projection.tobytes()
+        assert loaded.offset.tobytes() == model.offset.tobytes()
+        assert loaded.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+        got = kpca_transform(loaded, new)
+    assert got.tobytes() == kpca_transform(model, new).tobytes()
+
+
+def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
+    # More bins than two column blocks, and not a multiple of a block, so
+    # the transform sums three block products.  The rows are a band of a
+    # wider file, the way eval reads a test file.
+    n_bins = 2 * features._BLOCK_BINS + 301
+    rng = np.random.default_rng(17)
+    model = kpca_fit(np.abs(rng.normal(size=(20, n_bins))) + 0.1, 4)
+    wide = np.abs(rng.normal(size=(8, n_bins + 50))) + 0.1
+    wide[6] = 0.0  # an all-zero row
+    wide[7, 3000] = np.inf
+    band = slice(20, 20 + n_bins)
+    new = wide[:6, band]
+    kpca_path = save_kpca(model, tmp_path / "k.vcas")
+    rows_path = write_container(tmp_path / "r.vcas", PayloadKind.DATASET, {"rows": wide})
+    want = kpca_transform(model, new)
+    want_one = kpca_transform(model, new[1])
+    assert want_one.shape == (4,)
+    with (
+        load_kpca(kpca_path) as (on_disk, _),
+        read_container_lazily(rows_path, on_disk="rows") as (_, arrays, _),
+    ):
+        disk_rows = arrays["rows"][:, band]
+        for projected in (model, on_disk):
+            got = kpca_transform(projected, disk_rows[:6])
+            assert got.tobytes() == want.tobytes()
+            assert kpca_transform(projected, new).tobytes() == want.tobytes()
+            assert kpca_transform(projected, new[1]).tobytes() == want_one.tobytes()
+            got_one = kpca_transform(projected, disk_rows[1:2])
+            assert got_one.tobytes() == want_one[None].tobytes()
+            with pytest.raises(DegenerateInputError):
+                kpca_transform(projected, disk_rows[5:7])
+            with pytest.raises(ParameterError, match="finite"):
+                kpca_transform(projected, disk_rows[7:8])
 
 
 def test_kpca_fit_id_hashes_eigenvalues_and_offset():
@@ -348,7 +384,8 @@ def test_kernel_form_kpca_file_is_rejected(tmp_path):
         {"grand_mean": 0.5, "kernel": "cosine"},
     )
     with pytest.raises(DataError, match="rerun train") as exc:
-        load_kpca(path)
+        with load_kpca(path):
+            pytest.fail("opened a kernel-form model")
     assert exc.value.exit_code == 2
 
 

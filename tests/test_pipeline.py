@@ -286,6 +286,21 @@ def test_band_slice_values():
     assert band_slice_for(1.05, 21001, "high") == slice(8753, 21000)
 
 
+def test_band_slice_keeps_band_selects_edge_rule():
+    # At 10 Hz per bin every band edge sits exactly on a bin: the lower
+    # edge's bin is kept and the upper edge's is not.
+    assert band_slice_for(10.0, 3000, "low") == slice(2, 919)
+    assert band_slice_for(10.0, 3000, "high") == slice(919, 2205)
+    for bin_hz, n_bins in ((10.0, 3000), (1.05, 21001), (7.3, 4000)):
+        ones = features.Spectrum(np.ones(n_bins), bin_hz)
+        for band, (lo, hi) in BANDS.items():
+            ref = features.band_select(ones, lo, hi)
+            want = slice(ref.first_bin, ref.first_bin + len(ref))
+            assert band_slice_for(bin_hz, n_bins, band) == want
+    with pytest.raises(ParameterError, match="selects none"):
+        band_slice_for(1.05, 100, "high")
+
+
 def test_low_band_training(grasp_data):
     cfg = tiny_grasp_config(band="low")
     bin_hz, data = grasp_data
