@@ -99,6 +99,7 @@ def fft_magnitude(
     is dropped.  A Waveform gives a Spectrum.  A 2-D array of samples,
     one signal per row, gives one |rfft| row per signal, written into
     `out` when it is given; each row is bit-identical to the 1-D call.
+    A float32 `out` receives the float64 magnitudes rounded once.
     `scratch`, a complex array shaped like the result, receives the
     complex spectrum, so a caller that loops allocates it once.
     """
@@ -158,7 +159,8 @@ def _column_blocks(rows) -> Iterator[tuple[slice, np.ndarray]]:
     """Each `_BLOCK_BINS`-wide column block of `rows`, as a C-ordered copy.
 
     `rows` is an array or a container's DiskMatrix; either way a block
-    is read (or copied) into its own buffer, so both give the same bits.
+    is read (or copied) into its own float64 buffer, so both give the
+    same bits and kPCA's arithmetic is float64 even for float32 rows.
     """
     for c in range(0, rows.shape[1], _BLOCK_BINS):
         cols = slice(c, c + _BLOCK_BINS)

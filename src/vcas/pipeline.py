@@ -8,14 +8,15 @@ call, then stamps out samples by re-seeding only the additive noise, in
 chunks of up to four rows spread over a thread pool, so datasets are
 cheap and bit reproducible whatever the CPU count.  Every row's label
 and place is planned from the job list before the first spectrum is
-made, and each chunk goes to its dataset's row sink as soon as it is
-made: a rows array for in-memory datasets, the chunk's offset in the
-open dataset file for synth-data, so synth-data's rows go straight to
-their files and are never gathered in memory.  Training chains band
-selection, kernel PCA, and the MLP on the training Dataset (the train
-command leaves its rows in their file, for kernel PCA to read in
-column blocks); evaluation scores one condition's test Dataset into a
-metric row shaped like the tables the report command consumes.
+made, and each chunk, rounded to float32 (the rows' stored dtype), goes
+to its dataset's row sink as soon as it is made: a rows array for
+in-memory datasets, the chunk's offset in the open dataset file for
+synth-data, so synth-data's rows go straight to their files and are
+never gathered in memory.  Training chains band selection, kernel PCA,
+and the MLP on the training Dataset (the train command leaves its rows
+in their file, for kernel PCA to read in column blocks); evaluation
+scores one condition's test Dataset into a metric row shaped like the
+tables the report command consumes.
 """
 
 from __future__ import annotations
@@ -433,6 +434,11 @@ def synth_task_data(cfg: RunConfig) -> tuple[float, dict[DatasetKey, Dataset]]:
 # noise matrix and one 2-D rfft per chunk.
 _CHUNK_ROWS = 4
 
+# Spectrum rows are stored as float32: the noise lies far above its
+# rounding (under 2**-24, 6e-8, of a row's maximum), and it halves the
+# bytes of every dataset file and of what train and eval read.
+ROWS_DTYPE = np.dtype("<f4")
+
 
 def _fill_spectra(chunks: list, n_samples: int) -> None:
     """Put each (clean, snr_db, seeds, sink, first_row) chunk's |rfft| rows.
@@ -440,7 +446,9 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
     Chunks go to a thread pool sized by the CPUs this process may use;
     numpy's random fills and rfft release the GIL.  Each worker makes a
     chunk in its own buffers and puts it to rows only that chunk owns,
-    so the result does not depend on the pool size.
+    so the result does not depend on the pool size.  The magnitudes are
+    rounded to ROWS_DTYPE here, once, so an in-memory dataset (whose
+    float64 rows take the values exactly) and a file hold the same rows.
     """
     todo = iter(chunks)
     lock = threading.Lock()
@@ -448,7 +456,7 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
     def work() -> None:
         noisy = np.empty((_CHUNK_ROWS, n_samples))
         spectrum = np.empty((_CHUNK_ROWS, n_samples // 2 + 1), dtype=np.complex128)
-        mags = np.empty(spectrum.shape)
+        mags = np.empty(spectrum.shape, dtype=ROWS_DTYPE)
         while True:
             with lock:
                 chunk = next(todo, None)
@@ -580,7 +588,8 @@ def _dataset_file(
 ) -> Iterator[RowSink]:
     """Open dataset `key`'s file and write its labels; yield its row sink.
 
-    The file appears at `path` only when the block completes.
+    Rows are stored as ROWS_DTYPE, labels as float64.  The file appears
+    at `path` only when the block completes.
     """
     targets, session_ids = labels
     shapes = {
@@ -595,7 +604,8 @@ def _dataset_file(
         "bin_hz": bin_hz,
         "label_names": list(label_names) if label_names else None,
     }
-    with open_container(path, PayloadKind.DATASET, shapes, meta) as put:
+    dtypes = {"rows": ROWS_DTYPE}
+    with open_container(path, PayloadKind.DATASET, shapes, meta, dtypes) as put:
         put("targets", 0, targets)
         put("session_ids", 0, session_ids)
         yield functools.partial(put, "rows")

@@ -129,6 +129,7 @@ def _action_probs(model: PolicyModel, window: Window) -> np.ndarray:
 
 
 def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Action:
+    """Greedy: the argmax, ties to rot_z (the expert's first phase); sample: a draw."""
     if mode == "greedy":
         return Action.ROT_Z if probs[1] >= probs[0] else Action.ROT_X
     if mode == "sample":
@@ -138,20 +139,6 @@ def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Ac
     raise ParameterError(f"unknown mode {mode!r}; use greedy or sample")
 
 
-def policy_act(
-    model: PolicyModel,
-    window: Window,
-    mode: str = "greedy",
-    rng: np.random.Generator | None = None,
-) -> Action:
-    """Choose an action from the categorical head.
-
-    Greedy takes the argmax with ties going to rot_z (the expert's
-    first phase); sample draws from the distribution.
-    """
-    return _choose(_action_probs(model, window), mode, rng)
-
-
 def as_rollout_policy(model: PolicyModel, mode: str = "greedy") -> RolloutPolicy:
     """Adapt a PolicyModel to the (pose, window, rng) rollout signature.
 
@@ -159,7 +146,7 @@ def as_rollout_policy(model: PolicyModel, mode: str = "greedy") -> RolloutPolicy
     window it has seen, so each distinct window is encoded and run
     through the network once.  The choice itself is made afresh on
     every step (sample mode still draws from `rng` each time), so the
-    actions are exactly those of calling `policy_act` per step.
+    actions are exactly those of `_choose(_action_probs(...))` per step.
     """
     memo: dict[Window, np.ndarray] = {}
 

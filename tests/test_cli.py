@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -14,7 +15,7 @@ import vcas.cli
 import vcas.pipeline
 from vcas import features
 from vcas.cli import build_parser, config_from_args, main, parse_kv_text
-from vcas.container import PayloadKind, read_container, write_container
+from vcas.container import read_container, write_container
 from vcas.errors import NumericalError, ParameterError
 from vcas.features import load_kpca, save_kpca
 from vcas.learn import ConfusionMatrix, TrainConfig, write_confusion_csv
@@ -207,10 +208,10 @@ def test_train_without_data_exits_2(tmp_path):
 
 
 def _spoil_rows(path: Path, spoil) -> None:
-    """Rewrite a dataset file with spoil(rows) applied to its rows."""
-    _, arrays, meta = read_container(path)
-    spoil(arrays["rows"])
-    write_container(path, PayloadKind.DATASET, arrays, meta)
+    """Rewrite a dataset file with spoil(rows) applied to its float32 rows."""
+    ds, meta = read_dataset(path)
+    spoil(ds.rows)
+    write_dataset(ds, path, meta["task"], meta["condition"], meta["bin_hz"])
 
 
 def _nan_in_last_block(rows):
@@ -357,6 +358,40 @@ def test_kpca_file_without_training_sessions_exits_2(workspace, tmp_path, capsys
     assert "lists no training sessions" in capsys.readouterr().err
 
 
+def _rewrite_as_version_1(path: Path) -> None:
+    """Rewrite a container in format 1: no dtype byte, every array <f8."""
+    kind, arrays, meta = read_container(path)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    raw = b"VCAS" + struct.pack("<HHI", 1, kind, len(meta_bytes)) + meta_bytes
+    raw += struct.pack("<I", len(arrays))
+    for name, arr in arrays.items():
+        raw += struct.pack("<H", len(name)) + name.encode("utf-8")
+        raw += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+        raw += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("train", "data/in_distribution.train.vcas"),
+    ("eval", "data/in_distribution.test.vcas"),
+    ("eval", "models/kpca_full.vcas"),
+    ("eval", "models/mlp_full.vcas"),
+])
+def test_a_version_1_input_exits_2_naming_the_commands_to_rerun(
+    workspace, tmp_path, capsys, command, name
+):
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    _rewrite_as_version_1(tmp_path / "grasp" / name)
+    capsys.readouterr()
+    rc = main([command, "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    (line,) = err.splitlines()
+    path = tmp_path / "grasp" / name
+    assert line.startswith(f"error: unsupported container version 1 in {path} ")
+    assert "rerun the commands that wrote it (synth-data, then train" in line
+
+
 # A child's ru_maxrss counts the resident set it was forked from, so the
 # children are started from a small launcher, not from the test process.
 _PEAK_RSS_LAUNCHER = """
@@ -387,8 +422,9 @@ def _peak_rss(*argvs: list[str]) -> list[int]:
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
     # Default grasp training sizes, 200 components and 300-row test
-    # files: each test file holds 50 MB of rows and the projection 34 MB,
-    # so holding either breaks the bound.
+    # files: each test file stores 25 MB of float32 rows (50 MB once
+    # widened) and the projection 34 MB, so holding either breaks the
+    # bound.
     n_components = 200
     args = ["--task", "grasp", "--set", "test_per_class=100",
             "--set", f"n_components={n_components}", "--set", "max_epochs=2",
@@ -406,14 +442,16 @@ def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
         with vcas.pipeline.read_dataset_lazily(path) as (test, _):
             n_test = max(n_test, len(test))
     # eval reads the test rows and the projection in column blocks, so
-    # it holds one block of test rows (n_test x 2,048 bins, 4.9 MB) and
-    # its finite-check mask, one block of projection rows (2,048 x 200,
-    # 3.3 MB), the embeddings and their block product, and the MLP (its
-    # file's bytes).  The fixed 8 MB holds the labels, the MLP's
-    # activations and the allocator's arena; threaded OpenBLAS touches
+    # it holds one block of test rows widened to float64 (n_test x 2,048
+    # bins, 4.9 MB) and its finite-check mask, one block of projection
+    # rows (2,048 x 200, 3.3 MB), the embeddings and their block
+    # product, and the MLP (its file's bytes).  The fixed 8 MB holds the
+    # labels, the MLP's activations, the allocator's arena and the
+    # staging buffer that float32 rows are read through
+    # (container._STAGING_BYTES, 64 KB); threaded OpenBLAS touches
     # about 5 MB of gemm buffers per thread.  Nothing here grows with
     # the bins of a row or of the projection.
-    block = n_test * features._BLOCK_BINS * (8 + 1)
+    block = n_test * features._BLOCK_BINS * (np.dtype(np.float64).itemsize + 1)
     projection_block = features._BLOCK_BINS * n_components * 8
     embeddings = 2 * n_test * n_components * 8
     mlp = (grasp / "models" / "mlp_full.vcas").stat().st_size
@@ -428,7 +466,8 @@ def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
-    # Default grasp sizes: 300 training rows of 21,001 bins (48 MB).
+    # Default grasp sizes: 300 training rows of 21,001 bins, stored as
+    # float32 (24 MB; 48 MB once widened).
     args = ["--task", "grasp", "--set", "n_components=3", "--set", "max_epochs=2",
             "--out", str(tmp_path)]
     assert main(["synth-data", *args]) == 0
@@ -440,14 +479,16 @@ def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
     )
     n_rows = len(read_dataset(grasp / "data" / "in_distribution.train.vcas")[0])
     written = sum(p.stat().st_size for p in (grasp / "models").iterdir())
-    # train reads its rows one column block at a time (n x 2,048 bins,
-    # 4.9 MB), so it holds one block and its finite-check mask, the
-    # n x n Gram, its product buffer and the eigensolver's copy,
-    # eigenvectors and workspace (under 8 n^2 doubles), the labels, and
-    # the MLP's parameters, Adam moments and best copy (1 MB each).
-    # Threaded OpenBLAS touches about 5 MB of gemm buffers per thread.
-    # Nothing here grows with the bins, so holding the rows breaks it.
-    block = n_rows * features._BLOCK_BINS * 8
+    # train reads its rows one column block at a time, widened to
+    # float64 (n x 2,048 bins, 4.9 MB), so it holds one block and its
+    # finite-check mask, the n x n Gram, its product buffer and the
+    # eigensolver's copy, eigenvectors and workspace (under 8 n^2
+    # doubles), the labels, and the MLP's parameters, Adam moments and
+    # best copy (1 MB each); the fixed 8 MB also covers the 64 KB
+    # staging buffer that float32 rows are read through.  Threaded
+    # OpenBLAS touches about 5 MB of gemm buffers per thread.  Nothing
+    # here grows with the bins, so holding the rows breaks it.
+    block = n_rows * features._BLOCK_BINS * np.dtype(np.float64).itemsize
     if hasattr(os, "sched_getaffinity"):
         threads = len(os.sched_getaffinity(0))
     else:
@@ -461,7 +502,8 @@ def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
-    # Default grasp sizes: 450 rows of 21,001 bins (72 MB) from 18 jobs.
+    # Default grasp sizes: 450 rows of 21,001 bins (36 MB as float32,
+    # 72 MB as float64) from 18 jobs.
     args = ["synth-data", "--task", "grasp", "--out", str(tmp_path)]
     bare, peak = _peak_rss(
         ["-c", "import vcas.cli"], ["-c", "from vcas.cli import run; run()", *args]
@@ -470,12 +512,13 @@ def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
     n_samples = len(plan.chirp)
     clean = len(plan.jobs) * n_samples * 8
     # Each pool worker holds its chunk buffers (4 noisy rows, their
-    # complex spectrum and their magnitudes: 3.4 MB) and about 2 MB of
-    # rfft working copies and allocator arena; the fixed 8 MB holds the
-    # modal filter's block buffers, the labels and the thread pool's
-    # imports.  Nothing here grows with the rows written, so holding the
-    # rows (72 MB) breaks the bound.
-    chunk_buffers = 4 * (n_samples * 8 + plan.n_bins * (16 + 8))
+    # complex spectrum and their magnitudes in the stored row dtype:
+    # 3.0 MB) and about 2 MB of rfft working copies and allocator arena;
+    # the fixed 8 MB holds the modal filter's block buffers, the labels
+    # and the thread pool's imports.  Nothing here grows with the rows
+    # written, so holding the rows (36 MB) breaks the bound.
+    row_item = vcas.pipeline.ROWS_DTYPE.itemsize
+    chunk_buffers = 4 * (n_samples * 8 + plan.n_bins * (16 + row_item))
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:

@@ -206,12 +206,13 @@ def test_write_container_bytes_follow_the_documented_layout(tmp_path):
     }
     meta = {"b": [1, 2], "a": "x"}
     meta_bytes = b'{"a": "x", "b": [1, 2]}'  # sorted keys
-    # version 1, kind 4 (KPCA_MODEL), metadata length
-    want = b"VCAS" + struct.pack("<HHI", 1, 4, len(meta_bytes)) + meta_bytes
+    # version 2, kind 4 (KPCA_MODEL), metadata length
+    want = b"VCAS" + struct.pack("<HHI", 2, 4, len(meta_bytes)) + meta_bytes
     want += struct.pack("<I", len(arrays))
     for name, arr in arrays.items():
         want += struct.pack("<H", len(name)) + name.encode("utf-8")
-        want += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+        # dtype byte 8: write_container stores every array as <f8
+        want += struct.pack(f"<BB{arr.ndim}Q", 8, arr.ndim, *arr.shape)
         values = arr.ravel(order="C").tolist()  # C order, whatever the memory order
         want += struct.pack(f"<{len(values)}d", *values)
 
@@ -237,6 +238,75 @@ def test_open_container_blocks_in_any_order_equal_write_container(tmp_path):
         for first in (4, 0):  # rows 4-6, then 0-3
             put("rows", first, rows[first : first + 4])
     assert path.read_bytes() == want.read_bytes()
+
+
+def test_a_float32_array_reads_back_as_its_float32_values(tmp_path):
+    rng = np.random.default_rng(0)
+    # Wider than a staging buffer, so whole-row and band reads take
+    # several staging rounds; the specials must survive the round trip.
+    rows = rng.lognormal(size=(37, 5000))
+    rows[0, :4] = [0.0, np.finfo(np.float32).tiny / 2, 3.4e38, 1e-30]
+    ids = rng.normal(size=37)
+    want = rows.astype(np.float32)
+    shapes = {"ids": ids.shape, "rows": rows.shape}  # rows last, for the cut
+    path = tmp_path / "a.vcas"
+    with container.open_container(
+        path, PayloadKind.DATASET, shapes, {"k": 1}, {"rows": "<f4"}
+    ) as put:
+        put("ids", 0, ids)
+        put("rows", 20, want[20:])  # a float32 block is stored as it is
+        put("rows", 0, rows[:20])  # a float64 block is rounded
+    header_and_ids = path.stat().st_size - rows.size * 4
+    assert header_and_ids < 200 + ids.nbytes
+    _, got, meta = read_container(path)
+    assert meta == {"k": 1}
+    assert got["rows"].dtype == np.float64
+    assert got["rows"].astype(np.float32).tobytes() == want.tobytes()
+    assert np.array_equal(got["rows"], want)
+    assert got["ids"].tobytes() == ids.tobytes()  # undeclared arrays stay <f8
+    with container.read_container_lazily(path, on_disk="rows") as (_, lazy, _):
+        view = lazy["rows"]
+        for key in (slice(None), slice(3, 30), (slice(None), slice(100, 4500)),
+                    (slice(5, 9), slice(4999, 5000)), (slice(2, 2), slice(None)),
+                    (slice(None), slice(7, 7))):
+            read = np.asarray(view[key])
+            assert read.dtype == np.float64 and read.shape == want[key].shape
+            assert read.tobytes() == want[key].astype(np.float64).tobytes(), key
+        os.truncate(path, path.stat().st_size - 4)
+        assert np.asarray(view[:36]).tobytes() == want[:36].astype(np.float64).tobytes()
+        for key in (slice(None), (slice(30, 37), slice(4990, 5000))):
+            with pytest.raises(DataError, match="truncated"):
+                np.asarray(view[key])
+
+
+def test_a_version_1_container_is_refused_with_the_commands_that_rewrite_it(
+    tmp_path
+):
+    # Version 1 had no dtype byte and stored every array as <f8.
+    rows = np.arange(6.0).reshape(2, 3)
+    meta = b"{}"
+    raw = b"VCAS" + struct.pack("<HHI", 1, PayloadKind.DATASET, len(meta)) + meta
+    raw += struct.pack("<I", 1) + struct.pack("<H", 4) + b"rows"
+    raw += struct.pack("<B2Q", 2, *rows.shape) + rows.astype("<f8").tobytes()
+    path = tmp_path / "old.vcas"
+    path.write_bytes(raw)
+    for read in (
+        lambda: read_container(path),
+        lambda: container.read_container_lazily(path, on_disk="rows").__enter__(),
+    ):
+        with pytest.raises(DataError, match="version 1 .*synth-data, then train"):
+            read()
+
+
+def test_open_container_refuses_an_unstored_dtype(tmp_path):
+    for dtype in ("<i4", ">f4", "<f2"):
+        with pytest.raises(ParameterError, match="<f8 or <f4"):
+            with container.open_container(
+                tmp_path / "x.vcas", PayloadKind.DATASET, {"x": (2,)}, None,
+                {"x": dtype},
+            ):
+                pass
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_open_container_refuses_a_misfit_or_missing_block(tmp_path):
@@ -299,7 +369,9 @@ def test_a_disk_matrix_read_past_a_shrunk_file_is_a_data_error(tmp_path):
 def test_a_lazy_read_checks_every_header_before_any_block(tmp_path, monkeypatch):
     raw = _two_array_file(tmp_path)
     bad_files = [raw[:cut] for cut in range(len(raw))]  # every truncation
-    for at, value in ((0, b"X"), (4, b"\x63"), (6, b"\x01")):  # magic, version, kind
+    dtype_at = raw.index(b"\x01\x00w") + 3  # the first array's dtype byte
+    # magic, version, kind, dtype
+    for at, value in ((0, b"X"), (4, b"\x63"), (6, b"\x01"), (dtype_at, b"\x02")):
         bad_files.append(raw[:at] + value + raw[at + 1 :])
     monkeypatch.setattr(os, "preadv", None)  # a block read would fail loudly
     bad = tmp_path / "bad.vcas"

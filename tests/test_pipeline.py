@@ -7,6 +7,7 @@ from _oracles import kpca_reference
 
 import vcas.pipeline
 from vcas import features
+from vcas.cli import cmd_synth_data
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, ParameterError
 from vcas.features import kpca_fit_transform
@@ -214,15 +215,34 @@ def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
         std = noise_std_for_snr(c, plant.noise_snr_db)
         for s in seeds:
             noisy = c + np.random.default_rng(int(s)).normal(0.0, std, c.size)
-            want[role][0].append(np.abs(np.fft.rfft(noisy)))
+            # Rows are stored as float32: |rfft| in float64, rounded once.
+            want[role][0].append(np.abs(np.fft.rfft(noisy)).astype(np.float32))
             want[role][1].append(target)
             want[role][2].append(sid)
     for role in ("train", "test"):
         got = data["in_distribution", role]
         rows, targets, sessions = want[role]
-        assert got.rows.tobytes() == np.array(rows).tobytes()
+        assert got.rows.tobytes() == np.array(rows, dtype=np.float64).tobytes()
         assert got.targets.tolist() == targets
         assert got.session_ids.tolist() == sessions
+
+
+def test_synthesized_rows_equal_the_rows_synth_data_writes(tmp_path):
+    # Rows are rounded to float32 once, before either sink sees them, so
+    # the in-memory datasets hold exactly what the files store.
+    cfg = tiny_grasp_config(seed=3)
+    bin_hz, data = synth_task_data(cfg)
+    paths = cmd_synth_data(cfg, tmp_path)
+    assert len(paths) == len(data) == 3
+    for (cond, split), ds in data.items():
+        path = dataset_path(tmp_path, "grasp", cond, split)
+        assert path.stat().st_size < ds.rows.size * 4 + 1000  # stored <f4
+        stored, meta = read_dataset(path)
+        assert meta["bin_hz"] == bin_hz
+        assert stored.rows.tobytes() == ds.rows.tobytes(), (cond, split)
+        assert ds.rows.astype(np.float32).astype(np.float64).tobytes() == (
+            ds.rows.tobytes()
+        )
 
 
 def test_synthesis_is_the_same_with_one_worker_or_four(monkeypatch):

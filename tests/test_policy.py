@@ -28,13 +28,21 @@ from vcas.policy import (
     encode_window,
     eval_report_to_dict,
     load_policy,
-    policy_act,
     policy_eval,
     policy_train,
     save_policy,
 )
 
 IDENTITY = ObservationModel.identity()
+
+
+def policy_act(model, window, mode="greedy", rng=None):
+    """The per-step reference: one forward pass and one choice per call.
+
+    Greedy takes the argmax with ties going to rot_z (the expert's
+    first phase); sample draws from the distribution.
+    """
+    return policy_mod._choose(policy_mod._action_probs(model, window), mode, rng)
 
 
 def zero_policy(window_length=10):
