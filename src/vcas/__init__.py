@@ -1,7 +1,7 @@
 """Vibro-acoustic contact sensing: synthetic plants to cloned policies.
 
 Submodules:
-  signal    chirp excitation, modal plants, noise, contact detection
+  signal    chirp excitation, modal plants, noise
   features  FFT magnitudes, band selection, cosine-kernel PCA
   learn     MLP estimators with Adam, eval tables, serialization
   envsim    peg-insertion pose grid, expert, noisy observations

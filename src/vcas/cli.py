@@ -1,11 +1,13 @@
 """Command-line surface: synth-data, train, eval, sim, report.
 
 Each command's settings form one config dataclass (RunConfig, or a sim
-subcommand's options); a flat key=value config file, then --set, then
-explicit flags fill it, each overriding the one before.  Every command
-resolves its artifact root from --out, then the VCAS_DATA_DIR
-environment variable, then ./vcas_out.  Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numerical failure.
+subcommand's options), named in the _COMMANDS table with the keys that
+also get a flag; a flat key=value config file, then --set, then those
+flags fill it, each overriding the one before, and the field types check
+every source alike.  Every command resolves its artifact root from
+--out, then the VCAS_DATA_DIR environment variable, then ./vcas_out.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import Callable, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .envsim import (
     WINDOW_LENGTH,
     ObservationModel,
     PoseState,
+    StartRegime,
     episode_to_dict,
     expert_policy,
     generate_demos,
@@ -47,7 +50,6 @@ from .learn import (
     write_regression_csv,
 )
 from .pipeline import (
-    BANDS,
     RunConfig,
     TaskModels,
     dataset_path,
@@ -68,6 +70,7 @@ from .pipeline import (
 # reads its test files through read_dataset_lazily, instead.
 from .pipeline import read_dataset, synth_task_data, write_dataset  # noqa: F401, E402
 from .policy import (
+    PolicyMode,
     as_rollout_policy,
     eval_report_to_dict,
     load_policy,
@@ -110,12 +113,14 @@ def _collect_kv(args: argparse.Namespace) -> dict[str, str]:
 
 
 # The sim defaults reuse the simulator's own: OBS_ACCURACY, WINDOW_LENGTH
-# and MAX_EPISODE_STEPS.
+# and MAX_EPISODE_STEPS.  A field's "help" metadata is its flag's help.
 @dataclass(frozen=True)
 class _SimOptions:
     """Keys shared by the sim subcommands that observe contacts."""
 
-    obs: str = "default"
+    obs: str = field(
+        default="default", metadata={"help": "default | identity | path to confusion CSV"}
+    )
     obs_accuracy: float = OBS_ACCURACY
     seed: int = 0
 
@@ -136,50 +141,73 @@ class _SimOptions:
 @dataclass(frozen=True)
 class _DemosOptions(_SimOptions):
     episodes: int = 2000
-    regime: str = "interpolated"
+    regime: StartRegime = "interpolated"
     window_length: int = WINDOW_LENGTH
 
 
 @dataclass(frozen=True)
 class _TrainPolicyOptions:
-    demos: str | None = None
+    demos: str | None = field(default=None, metadata={"help": "demo JSONL path"})
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
 @dataclass(frozen=True)
 class _EvalPolicyOptions(_SimOptions):
-    policy: str | None = None
-    regime: str = "fixed"
+    policy: str | None = field(default=None, metadata={"help": "policy container path"})
+    regime: StartRegime = "fixed"
     episodes: int = 1000
-    mode: str = "greedy"
+    mode: PolicyMode = "greedy"
 
 
 @dataclass(frozen=True)
 class _RolloutOptions(_SimOptions):
-    policy: str = "expert"
-    start: str = "45,45"
+    policy: str = field(
+        default="expert", metadata={"help": "'expert' or policy container path"}
+    )
+    start: str = field(default="45,45", metadata={"help": "THETA_X,THETA_Z"})
     max_steps: int = MAX_EPISODE_STEPS
     window_length: int = WINDOW_LENGTH
-    mode: str = "greedy"
+    mode: PolicyMode = "greedy"
 
 
-_SIM_OPTIONS = {
-    "demos": _DemosOptions,
-    "train-policy": _TrainPolicyOptions,
-    "eval-policy": _EvalPolicyOptions,
-    "rollout": _RolloutOptions,
+# Command -> (its config dataclass, help line, the keys that also get a flag).
+_COMMANDS = {
+    "synth-data": (RunConfig, "synthesize per-session datasets", "seed task band"),
+    "train": (RunConfig, "fit kernel PCA + MLP on a task", "seed task band"),
+    "eval": (RunConfig, "score trained models per condition", "seed task band"),
+    "sim demos": (_DemosOptions, "generate expert demonstrations",
+                  "seed episodes regime obs obs_accuracy window_length"),
+    "sim train-policy": (_TrainPolicyOptions, "behavior-clone a policy from demos",
+                         "seed demos max_epochs"),
+    "sim eval-policy": (_EvalPolicyOptions, "roll out a policy per regime",
+                        "seed policy regime episodes obs obs_accuracy mode"),
+    "sim rollout": (_RolloutOptions, "trace one verbose episode",
+                    "seed policy start obs obs_accuracy max_steps window_length mode"),
 }
+
+# Flag name when it differs from the config key (dashes aside).
+_FLAG_NAMES = {"window_length": "window", "max_epochs": "epochs"}
 
 
 def _conditions_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+class _Choices(tuple):
+    """Caster for a Literal field: the value, if it is one of the choices."""
+
+    def __call__(self, raw: str) -> str:
+        if raw not in self:
+            raise ValueError(raw)
+        return raw
+
+
 def _casters(cls) -> dict[str, Callable[[str], object]]:
     """Config key -> caster, from the field types of a config dataclass.
 
-    `X | None` casts as X and `tuple[str, ...]` from a comma list; a
-    nested config dataclass contributes its own keys.
+    `X | None` casts as X, `tuple[str, ...]` from a comma list and a
+    `Literal` to one of its values; a nested config dataclass
+    contributes its own keys.
     """
     out = {}
     for key, hint in get_type_hints(cls).items():
@@ -188,7 +216,10 @@ def _casters(cls) -> dict[str, Callable[[str], object]]:
             continue
         if type(None) in get_args(hint):
             (hint,) = (a for a in get_args(hint) if a is not type(None))
-        out[key] = _conditions_list if hint == tuple[str, ...] else hint
+        if get_origin(hint) is Literal:
+            out[key] = _Choices(get_args(hint))
+        else:
+            out[key] = _conditions_list if hint == tuple[str, ...] else hint
     return out
 
 
@@ -208,20 +239,14 @@ def _build(cls, values: dict):
     return cls(**kwargs)
 
 
-# argparse attribute name when it differs from the config key
-_FLAG_NAMES = {"window_length": "window", "max_epochs": "epochs"}
-
-
 def config_from_args(args: argparse.Namespace):
     """The command's config dataclass from --config, then --set, then flags.
 
     Each later source overrides the earlier ones; a key that the config
     (or a config it nests) does not declare is an error.
     """
-    if args.command == "sim":
-        cls, command = _SIM_OPTIONS[args.sim_command], f"sim {args.sim_command}"
-    else:
-        cls, command = RunConfig, args.command
+    command = args.command_name
+    cls, _, flags = _COMMANDS[command]
     casters = _casters(cls)
     values = {}
     for key, raw in _collect_kv(args).items():
@@ -230,11 +255,13 @@ def config_from_args(args: argparse.Namespace):
         try:
             values[key] = casters[key](raw)
         except (TypeError, ValueError) as exc:
-            raise ParameterError(f"bad value for {key}: {raw!r}") from exc
-    for key in casters:
-        value = getattr(args, _FLAG_NAMES.get(key, key), None)
-        if value is not None:
-            values[key] = value
+            hint = (
+                f"; use one of {casters[key]}" if isinstance(casters[key], _Choices) else ""
+            )
+            raise ParameterError(f"bad value for {key}: {raw!r}{hint}") from exc
+    for key in flags.split():
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     if values.get("seed", 0) < 0:
         raise ParameterError(f"seed must be >= 0, got {values['seed']}")
     return _build(cls, values)
@@ -522,69 +549,34 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat KEY=VALUE config file")
-    sp.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config value (repeatable)",
-    )
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", help="artifact root (default $VCAS_DATA_DIR or ./vcas_out)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _COMMANDS entry; its flags' types and choices
+    come from the config dataclass, as --set and --config values' do."""
     parser = _Parser(prog="vcas", description="Vibro-acoustic sensing pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (cls, blurb, flags) in _COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        if group not in groups:
+            sim = groups[""].add_parser(group, help="simulator and policy workflows")
+            groups[group] = sim.add_subparsers(dest="sim_command", required=True)
+        sp = groups[group].add_parser(word, help=blurb)
+        sp.set_defaults(command_name=name)
+        sp.add_argument("--config", help="flat KEY=VALUE config file")
+        sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config value (repeatable)")
+        sp.add_argument("--out", help="artifact root (default $VCAS_DATA_DIR or ./vcas_out)")
+        casters = _casters(cls)
+        helps = {f.name: f.metadata["help"] for f in fields(cls) if "help" in f.metadata}
+        for key in flags.split():
+            flag, caster = _FLAG_NAMES.get(key, key), casters[key]
+            typed = {"type": caster, "metavar": flag.upper()}
+            if isinstance(caster, _Choices):
+                typed = {"choices": caster}
+            sp.add_argument(
+                "--" + flag.replace("_", "-"), dest=key, help=helps.get(key), **typed
+            )
 
-    for name, blurb in (
-        ("synth-data", "synthesize per-session datasets"),
-        ("train", "fit kernel PCA + MLP on a task"),
-        ("eval", "score trained models per condition"),
-    ):
-        sp = sub.add_parser(name, help=blurb)
-        _add_common_flags(sp)
-        sp.add_argument("--task", choices=("object", "grasp", "pose", "contact"))
-        sp.add_argument("--band", choices=tuple(BANDS))
-
-    sim = sub.add_parser("sim", help="simulator and policy workflows")
-    sim_sub = sim.add_subparsers(dest="sim_command", required=True)
-
-    d = sim_sub.add_parser("demos", help="generate expert demonstrations")
-    _add_common_flags(d)
-    d.add_argument("--episodes", type=int)
-    d.add_argument("--regime", choices=("fixed", "interpolated", "out_of_distribution"))
-    d.add_argument("--obs", help="default | identity | path to confusion CSV")
-    d.add_argument("--obs-accuracy", dest="obs_accuracy", type=float)
-    d.add_argument("--window", type=int)
-
-    tp = sim_sub.add_parser("train-policy", help="behavior-clone a policy from demos")
-    _add_common_flags(tp)
-    tp.add_argument("--demos", help="demo JSONL path")
-    tp.add_argument("--epochs", type=int)
-
-    ep = sim_sub.add_parser("eval-policy", help="roll out a policy per regime")
-    _add_common_flags(ep)
-    ep.add_argument("--policy", help="policy container path")
-    ep.add_argument("--regime", choices=("fixed", "interpolated", "out_of_distribution"))
-    ep.add_argument("--episodes", type=int)
-    ep.add_argument("--obs")
-    ep.add_argument("--obs-accuracy", dest="obs_accuracy", type=float)
-    ep.add_argument("--mode", choices=("greedy", "sample"))
-
-    ro = sim_sub.add_parser("rollout", help="trace one verbose episode")
-    _add_common_flags(ro)
-    ro.add_argument("--policy", help="'expert' or policy container path")
-    ro.add_argument("--start", help="THETA_X,THETA_Z")
-    ro.add_argument("--obs")
-    ro.add_argument("--obs-accuracy", dest="obs_accuracy", type=float)
-    ro.add_argument("--max-steps", dest="max_steps", type=int)
-    ro.add_argument("--window", type=int)
-    ro.add_argument("--mode", choices=("greedy", "sample"))
-
-    rep = sub.add_parser("report", help="merge metrics files into one table")
+    rep = groups[""].add_parser("report", help="merge metrics files into one table")
     rep.add_argument("paths", nargs="+")
     rep.add_argument("--out")
     return parser

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -27,7 +27,8 @@ MAX_EPISODE_STEPS = 50
 WINDOW_LENGTH = 10
 OBS_ACCURACY = 0.95  # default channel diagonal
 
-START_REGIMES = ("fixed", "interpolated", "out_of_distribution")
+StartRegime = Literal["fixed", "interpolated", "out_of_distribution"]
+START_REGIMES = get_args(StartRegime)
 
 
 class ContactType(IntEnum):

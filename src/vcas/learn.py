@@ -56,12 +56,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.step_size > 0):
-            raise ParameterError("step_size must be positive")
+        if not (self.step_size > 0 and math.isfinite(self.step_size)):
+            raise ParameterError(
+                f"step_size must be positive and finite, got {self.step_size}"
+            )
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ParameterError("batch_size, max_epochs, patience must be >= 1")
-        if self.min_delta < 0:
-            raise ParameterError("min_delta must be non-negative")
+        if self.min_delta < 0 or not math.isfinite(self.min_delta):
+            raise ParameterError(
+                f"min_delta must be non-negative and finite, got {self.min_delta}"
+            )
         if not (0 <= self.validation_fraction < 1):
             raise ParameterError("validation_fraction must be in [0, 1)")
 
@@ -189,14 +193,6 @@ class MlpModel:
     @property
     def out_dim(self) -> int:
         return self.weights[-1].shape[1]
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.in_dim,) + tuple(w.shape[1] for w in self.weights)
-
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def copy(self) -> "MlpModel":
         return replace(

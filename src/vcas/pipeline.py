@@ -29,6 +29,7 @@ import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -73,7 +74,8 @@ from .signal import (
 
 TASKS = plants.TASKS
 
-BANDS: dict[str, tuple[float, float]] = {
+Band = Literal["full", "low", "high"]
+BANDS: dict[Band, tuple[float, float]] = {
     "full": (20.0, 22050.0),
     "low": (20.0, 9190.0),
     "high": (9190.0, 22050.0),
@@ -118,8 +120,8 @@ class RunConfig:
     `train.seed` always equals `seed`.
     """
 
-    task: str
-    band: str = "full"
+    task: plants.Task
+    band: Band = "full"
     n_components: int | None = None
     seed: int = 0
     preset: str | None = None
@@ -178,10 +180,6 @@ class RunConfig:
     def preset_source(self) -> str:
         return self.preset or self.task
 
-    @property
-    def band_hz(self) -> tuple[float, float]:
-        return BANDS[self.band]
-
 
 # One clean response per job, one noisy spectrum row per noise seed:
 # (role, plant, target, session_id, noise_seeds).  The role names the
@@ -227,9 +225,7 @@ def _class_bank_jobs(
     ):
         for target, (name, c_ss) in enumerate(zip(names, class_ss)):
             modes = plants.apply_jitter(plants.class_modes(preset, name), jitter)
-            plant = plants.build_plant(
-                modes, preset.noise_snr_db, {"task": cfg.task, "class": name}
-            )
+            plant = plants.build_plant(modes, preset.noise_snr_db)
             jobs.append((role, plant, target, sid, c_ss.generate_state(n_pc)))
     return names, jobs
 
@@ -241,9 +237,7 @@ def _pose_jobs(cfg: RunConfig, preset: plants.PosePreset) -> tuple[None, list[_J
 
     def add(role, angle, jitter, sid, seeds):
         modes = plants.apply_jitter(plants.pose_modes(preset, angle), jitter)
-        plant = plants.build_plant(
-            modes, preset.noise_snr_db, {"task": "pose", "angle": angle}
-        )
+        plant = plants.build_plant(modes, preset.noise_snr_db)
         jobs.append((role, plant, angle, sid, seeds))
 
     for role, sid, n_pc, jitter, (interp_ss, *angle_ss) in _sessions(
@@ -284,11 +278,7 @@ def _contact_jobs(
 
     def add(role, theta_x, theta_z, jitter, sid, seeds):
         modes, label = plants.contact_modes(preset, theta_x, theta_z)
-        plant = plants.build_plant(
-            plants.apply_jitter(modes, jitter),
-            preset.noise_snr_db,
-            {"task": "contact", "contact": label},
-        )
+        plant = plants.build_plant(plants.apply_jitter(modes, jitter), preset.noise_snr_db)
         jobs.append((role, plant, name_idx[label], sid, seeds))
 
     for role, sid, n_pc, jitter, (interp_ss, ood_ss, *class_ss) in _sessions(

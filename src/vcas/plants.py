@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import Literal, get_args
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from .signal import ModalPlant
 
 Modes = tuple[tuple[float, float, float], ...]
 
-TASKS = ("object", "grasp", "pose", "contact")
+Task = Literal["object", "grasp", "pose", "contact"]
+TASKS = get_args(Task)
 
 FREQ_JITTER_SIGMA = 0.002
 GAIN_JITTER_SIGMA = 0.05
@@ -243,7 +245,5 @@ def contact_modes(
     return modes, label
 
 
-def build_plant(
-    modes: Modes, noise_snr_db: float, label_metadata: dict | None = None
-) -> ModalPlant:
-    return ModalPlant(modes, noise_snr_db, label_metadata or {})
+def build_plant(modes: Modes, noise_snr_db: float) -> ModalPlant:
+    return ModalPlant(modes, noise_snr_db)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from .learn import (
     mlp_train,
     save_mlp,
 )
+
+PolicyMode = Literal["greedy", "sample"]
 
 # One-hot vocabulary per window slot: no-observation pad, then the
 # contact types in enum order.
@@ -139,7 +141,7 @@ def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Ac
     raise ParameterError(f"unknown mode {mode!r}; use greedy or sample")
 
 
-def as_rollout_policy(model: PolicyModel, mode: str = "greedy") -> RolloutPolicy:
+def as_rollout_policy(model: PolicyModel, mode: PolicyMode = "greedy") -> RolloutPolicy:
     """Adapt a PolicyModel to the (pose, window, rng) rollout signature.
 
     The returned callable remembers the action distribution of every
@@ -185,7 +187,7 @@ def policy_eval(
     n_episodes: int,
     m: ObservationModel,
     seed: int,
-    mode: str = "greedy",
+    mode: PolicyMode = "greedy",
 ) -> EvalReport:
     """Roll the policy from per-episode seeded starts and aggregate.
 

@@ -1,4 +1,4 @@
-"""Excitation sweeps, a modal-resonator plant, and contact detection.
+"""Excitation sweeps and a modal-resonator plant.
 
 The plant stands in for a physical gripper/object system: each object
 configuration is modeled as a small bank of second-order resonant modes
@@ -12,7 +12,7 @@ from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import ParameterError
 
 DEFAULT_SAMPLE_RATE = 44100.0
 DEFAULT_SWEEP_POINTS = 42000
-DEFAULT_DEBOUNCE = 50
 
 
 @dataclass(frozen=True)
@@ -96,14 +95,11 @@ def default_chirp_spec() -> ChirpSpec:
 class ModalPlant:
     """Bank of (center_frequency_hz, damping_ratio, gain) resonant modes.
 
-    `noise_snr_db` may be math.inf for a noise-free plant.  The
-    `label_metadata` dict carries task tags (class id, grasp position,
-    pose angle, contact type) and does not affect synthesis.
+    `noise_snr_db` may be math.inf for a noise-free plant.
     """
 
     modes: tuple[tuple[float, float, float], ...]
     noise_snr_db: float = math.inf
-    label_metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         modes = tuple((float(f), float(z), float(g)) for f, z, g in self.modes)
@@ -117,19 +113,6 @@ class ModalPlant:
             if not (g >= 0):
                 raise ParameterError(f"mode gain must be non-negative, got {g}")
         object.__setattr__(self, "modes", modes)
-
-
-@dataclass(frozen=True)
-class ContactEvent:
-    detected: bool
-    sample_index: int | None
-    false_positive: bool
-
-    def __post_init__(self):
-        if not self.detected and self.sample_index is not None:
-            raise ParameterError("undetected event cannot carry a sample index")
-        if self.false_positive and not self.detected:
-            raise ParameterError("false_positive implies detected")
 
 
 def generate_chirp(spec: ChirpSpec) -> Waveform:
@@ -272,22 +255,3 @@ def apply_noise(
             row += clean
     return out if np.ndim(seed) else out[0]
 
-
-def detect_contact(
-    stream: Waveform, threshold: float, debounce: int = DEFAULT_DEBOUNCE
-) -> ContactEvent:
-    """First index where |sample| >= threshold.
-
-    A crossing earlier than `debounce` samples is flagged as a false
-    positive (almost-immediate detections should be re-attempted by the
-    caller).  No crossing at all yields detected=False.
-    """
-    if not (threshold > 0):
-        raise ParameterError("threshold must be positive")
-    if debounce < 0:
-        raise ParameterError("debounce must be non-negative")
-    hits = np.abs(stream.samples) >= threshold
-    if not hits.any():
-        return ContactEvent(detected=False, sample_index=None, false_positive=False)
-    idx = int(np.argmax(hits))
-    return ContactEvent(detected=True, sample_index=idx, false_positive=idx < debounce)

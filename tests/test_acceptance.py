@@ -193,7 +193,7 @@ def test_criterion_5_signal_invariants():
     worst_bins = 0.0
     bin_hz = chirp.sample_rate / len(chirp)
     for freq in (200.0, 997.0, 4000.0, 9000.0, 12000.0, 16000.0):
-        plant = ModalPlant(((freq, 0.01, 1.0),), np.inf, {})
+        plant = ModalPlant(((freq, 0.01, 1.0),), np.inf)
         response = Waveform(modal_response(plant, chirp), chirp.sample_rate)
         spectrum = fft_magnitude(response)
         peak_bin = int(np.argmax(spectrum.magnitudes))

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import os
@@ -142,6 +143,144 @@ def test_epochs_flag_sets_max_epochs():
 def test_negative_seed_exits_1(command, tmp_path, capsys):
     assert main([*command, "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+
+# Every flag of each config command: flag -> (config key, a non-default value).
+_RUN_FLAGS = {"--seed": ("seed", 3), "--task": ("task", "pose"), "--band": ("band", "low")}
+_SIM_FLAGS = {
+    "--seed": ("seed", 3),
+    "--obs": ("obs", "identity"),
+    "--obs-accuracy": ("obs_accuracy", 0.5),
+}
+COMMAND_FLAGS = {
+    "synth-data": _RUN_FLAGS,
+    "train": _RUN_FLAGS,
+    "eval": _RUN_FLAGS,
+    "sim demos": {
+        **_SIM_FLAGS,
+        "--episodes": ("episodes", 7),
+        "--regime": ("regime", "fixed"),
+        "--window": ("window_length", 3),
+    },
+    "sim train-policy": {
+        "--seed": ("seed", 3),
+        "--demos": ("demos", "d.jsonl"),
+        "--epochs": ("max_epochs", 4),
+    },
+    "sim eval-policy": {
+        **_SIM_FLAGS,
+        "--policy": ("policy", "p.vcas"),
+        "--regime": ("regime", "interpolated"),
+        "--episodes": ("episodes", 7),
+        "--mode": ("mode", "sample"),
+    },
+    "sim rollout": {
+        **_SIM_FLAGS,
+        "--policy": ("policy", "p.vcas"),
+        "--start": ("start", "10,20"),
+        "--max-steps": ("max_steps", 9),
+        "--window": ("window_length", 3),
+        "--mode": ("mode", "sample"),
+    },
+}
+
+_RUN_KEYS = {
+    "task", "band", "n_components", "preset", "sessions_train", "sessions_test",
+    "train_per_class", "test_per_class", "conditions", *TRAIN_SETTINGS,
+}
+_SIM_KEYS = {"obs", "obs_accuracy", "seed"}
+COMMAND_KEYS = {
+    "synth-data": _RUN_KEYS,
+    "train": _RUN_KEYS,
+    "eval": _RUN_KEYS,
+    "sim demos": _SIM_KEYS | {"episodes", "regime", "window_length"},
+    "sim train-policy": {"demos", *TRAIN_SETTINGS},
+    "sim eval-policy": _SIM_KEYS | {"policy", "regime", "episodes", "mode"},
+    "sim rollout": _SIM_KEYS
+    | {"policy", "start", "max_steps", "window_length", "mode"},
+}
+
+
+def _command_argv(command: str) -> list[str]:
+    """The command's words, plus --task for the commands that need one."""
+    return command.split() + ([] if command.startswith("sim") else ["--task", "grasp"])
+
+
+def _config_value(cfg, key: str):
+    return getattr(cfg, key) if hasattr(cfg, key) else getattr(cfg.train, key)
+
+
+def _subparser(parser, words: list[str]):
+    for word in words:
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, flags in COMMAND_FLAGS.items() for f in flags],
+    ids=lambda v: v,
+)
+def test_each_flag_sets_its_config_key(command, flag):
+    key, value = COMMAND_FLAGS[command][flag]
+    parser = build_parser()
+    default = config_from_args(parser.parse_args(_command_argv(command)))
+    args = parser.parse_args([*_command_argv(command), flag, str(value)])
+    assert _config_value(default, key) != value
+    assert _config_value(config_from_args(args), key) == value
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_has_exactly_its_flags_and_config_keys(command):
+    parser = build_parser()
+    options = {
+        s for a in _subparser(parser, command.split())._actions for s in a.option_strings
+    }
+    common = {"-h", "--help", "--config", "--set", "--out"}
+    assert options == common | set(COMMAND_FLAGS[command])
+    accepted = set()
+    for key in set().union(*COMMAND_KEYS.values()):
+        args = parser.parse_args([*_command_argv(command), "--set", f"{key}=1"])
+        try:
+            config_from_args(args)
+        except ParameterError as exc:
+            if "unknown config key" in str(exc):
+                continue
+        accepted.add(key)
+    assert accepted == COMMAND_KEYS[command]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("sim demos", "regime"),
+        ("sim eval-policy", "regime"),
+        ("sim eval-policy", "mode"),
+        ("sim rollout", "mode"),
+    ],
+    ids=lambda v: v,
+)
+@pytest.mark.parametrize("source", ["flag", "set", "config"])
+def test_a_bad_choice_exits_1_from_any_source_before_any_file_is_read(
+    command, key, source, tmp_path, capsys
+):
+    # The missing --obs file (and policy file) would exit 2 if read first.
+    argv = [*command.split(), "--obs", str(tmp_path / "missing.csv")]
+    if "policy" in COMMAND_KEYS[command]:
+        argv += ["--policy", str(tmp_path / "missing.vcas")]
+    if source == "flag":
+        argv += [f"--{key}", "bogus"]
+    elif source == "set":
+        argv += ["--set", f"{key}=bogus"]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key}=bogus\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and key in err, err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ workflow
@@ -723,6 +862,16 @@ def test_sim_eval_policy_rejects_a_policy_file_of_the_retired_kind(tmp_path, cap
     )
     assert main(["sim", "eval-policy", "--policy", str(path), "--out", str(tmp_path)]) == 2
     assert "unknown payload kind 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["min_delta=nan", "min_delta=inf", "step_size=inf"])
+def test_a_non_finite_training_setting_exits_1_before_the_demos_are_read(
+    setting, tmp_path, capsys
+):
+    # There is no demo file under tmp_path: reading it would exit 2.
+    assert main(["sim", "train-policy", "--set", setting, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and setting.split("=")[0] in err, err
 
 
 def test_sim_demos_zero_episodes_exits_1(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -93,9 +94,9 @@ def test_sessions_disjoint_check():
 
 def test_init_parameter_count_at_stated_widths():
     model = mlp_init(5, 9, "softmax", seed=0)
-    expected = 5 * 400 + 400 + 400 * 250 + 250 + 250 * 100 + 100 + 100 * 9 + 9
-    assert model.n_parameters == expected
-    assert model.layer_dims == (5, 400, 250, 100, 9)
+    dims = (5, 400, 250, 100, 9)
+    assert [w.shape for w in model.weights] == list(zip(dims, dims[1:]))
+    assert [b.shape for b in model.biases] == [(d,) for d in dims[1:]]
 
 
 def test_init_seed_determinism():
@@ -400,6 +401,12 @@ def test_train_config_validation():
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ParameterError):
         TrainConfig(min_delta=-1e-3)
+    # With a non-finite min_delta no epoch counts as a gain, so training
+    # would return the initial network; an infinite step diverges.
+    for key in ("step_size", "min_delta"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=f"{key} must be .* finite"):
+                TrainConfig(**{key: value})
 
 
 def test_regression_training_recovers_target_units():

@@ -83,7 +83,7 @@ def test_run_config_resolved_defaults():
     assert cfg.n_components_resolved == N_COMPONENTS_DEFAULT["contact"]
     assert cfg.counts_resolved == SAMPLES_PER_CLASS_DEFAULT["contact"]
     assert cfg.conditions_resolved == CONDITIONS_DEFAULT["contact"]
-    assert cfg.band_hz == BANDS["full"]
+    assert cfg.band == "full"
     assert cfg.preset_source == "contact"
     override = RunConfig(task="contact", n_components=7, train_per_class=9)
     assert override.n_components_resolved == 7

@@ -264,9 +264,6 @@ def test_contact_in_hole_damps_harder_than_diagonal():
 
 def test_build_plant_carries_metadata():
     modes = ((500.0, 0.01, 1.0),)
-    plant = build_plant(modes, 30.0, {"label": "tip"})
+    plant = build_plant(modes, 30.0)
     assert plant.modes == modes
     assert plant.noise_snr_db == 30.0
-    assert plant.label_metadata == {"label": "tip"}
-    bare = build_plant(modes, math.inf)
-    assert bare.label_metadata == {}

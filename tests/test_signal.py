@@ -17,7 +17,6 @@ from vcas.signal import (
     Waveform,
     apply_noise,
     default_chirp_spec,
-    detect_contact,
     generate_chirp,
     modal_response,
     noise_std_for_snr,
@@ -257,54 +256,6 @@ def test_parseval_identity_random_waveforms(seed, n):
     lhs = time_domain_energy(samples)
     rhs = one_sided_energy(s.magnitudes, n)
     assert abs(lhs - rhs) / lhs < 1e-6
-
-
-def test_detect_contact_all_zero_stream():
-    w = Waveform(np.zeros(2000), 44100.0)
-    ev = detect_contact(w, threshold=0.1)
-    assert not ev.detected
-    assert not ev.false_positive
-
-
-def test_detect_contact_step_at_1000():
-    samples = np.zeros(2000)
-    samples[1000:] = 0.5
-    ev = detect_contact(Waveform(samples, 44100.0), threshold=0.1, debounce=50)
-    assert ev.detected
-    assert ev.sample_index == 1000
-    assert not ev.false_positive
-
-
-def test_detect_contact_early_step_is_false_positive():
-    samples = np.zeros(2000)
-    samples[10:] = 0.5
-    ev = detect_contact(Waveform(samples, 44100.0), threshold=0.1, debounce=50)
-    assert ev.detected
-    assert ev.sample_index == 10
-    assert ev.false_positive
-
-
-def test_detect_contact_index_monotone_in_threshold():
-    # Raising the threshold can only delay (or lose) the detection:
-    # the first index where |x| >= t is non-decreasing in t.
-    rng = np.random.default_rng(2)
-    samples = np.abs(rng.normal(size=5000)).cumsum() / 500.0
-    w = Waveform(samples, 44100.0)
-    last = -1
-    for t in np.linspace(0.05, 5.0, 40):
-        ev = detect_contact(w, threshold=float(t), debounce=0)
-        if not ev.detected:
-            break
-        assert ev.sample_index >= last
-        last = ev.sample_index
-
-
-def test_detect_contact_requires_positive_threshold():
-    w = Waveform(np.zeros(100), 44100.0)
-    with pytest.raises(ParameterError):
-        detect_contact(w, threshold=0.0)
-    with pytest.raises(ParameterError):
-        detect_contact(w, threshold=0.5, debounce=-1)
 
 
 def test_waveform_validation():
