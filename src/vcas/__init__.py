@@ -2,12 +2,12 @@
 
 Submodules:
   signal    chirp excitation, modal plants, noise
-  features  FFT magnitudes, band selection, cosine-kernel PCA
+  features  FFT magnitude rows, cosine-kernel PCA
   learn     MLP estimators with Adam, eval tables, serialization
   envsim    peg-insertion pose grid, expert, noisy observations
   policy    history-window behavior cloning and evaluation
   plants    plant presets and session-level parameter jitter
-  pipeline  run configs, dataset synthesis, train/eval orchestration
+  pipeline  run configs, dataset synthesis, band slices, train/eval
   cli       command-line entry points
 """
 

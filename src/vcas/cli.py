@@ -166,7 +166,6 @@ class _RolloutOptions(_SimOptions):
     )
     start: str = field(default="45,45", metadata={"help": "THETA_X,THETA_Z"})
     max_steps: int = MAX_EPISODE_STEPS
-    window_length: int = WINDOW_LENGTH
     mode: PolicyMode = "greedy"
 
 
@@ -182,7 +181,7 @@ _COMMANDS = {
     "sim eval-policy": (_EvalPolicyOptions, "roll out a policy per regime",
                         "seed policy regime episodes obs obs_accuracy mode"),
     "sim rollout": (_RolloutOptions, "trace one verbose episode",
-                    "seed policy start obs obs_accuracy max_steps window_length mode"),
+                    "seed policy start obs obs_accuracy max_steps mode"),
 }
 
 # Flag name when it differs from the config key (dashes aside).
@@ -421,8 +420,7 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
         return [write_json(eval_report_to_dict(report), path)]
     if subcommand == "rollout":
         if options.policy == "expert":
-            policy_fn = expert_policy
-            window_length = options.window_length
+            policy_fn, window_length = expert_policy, WINDOW_LENGTH
         else:
             policy_path = Path(options.policy)
             if not policy_path.exists():
@@ -514,7 +512,13 @@ def cmd_report(paths: list[str | Path], out_dir: str | Path) -> list[Path]:
             payload = json.loads(read_text(p))
         except json.JSONDecodeError as exc:
             raise DataError(f"unreadable metrics file {p}: {exc}") from exc
-        rows.extend(_report_rows_from_payload(payload, str(p)))
+        # A JSON file of the wrong shape is unusable data, not a crash.
+        try:
+            rows.extend(_report_rows_from_payload(payload, str(p)))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(
+                f"malformed metrics payload in {p}: {type(exc).__name__} {exc}"
+            ) from exc
     rows.sort(
         key=lambda r: (
             str(r["task"]),

@@ -335,8 +335,12 @@ def rollout(
     Termination uses the true contact only; an observed in-hole label
     neither ends the episode nor is withheld from the policy.
     """
-    if max_steps < 1:
-        raise ParameterError("max_steps must be >= 1")
+    if not (1 <= max_steps <= MAX_EPISODE_STEPS):
+        raise ParameterError(
+            f"max_steps must be in [1, {MAX_EPISODE_STEPS}], got {max_steps}"
+        )
+    if window_length < 1:
+        raise ParameterError("window_length must be >= 1")
     rng = np.random.default_rng(seed)
     pose = start
     window = deque(blank_window(window_length), maxlen=window_length)

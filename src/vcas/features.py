@@ -1,9 +1,10 @@
 """Spectral features and kernel principal components.
 
-A received waveform is reduced to a one-sided FFT magnitude vector,
-optionally restricted to a frequency band, then embedded with kernel
-PCA under a cosine (normalized dot product) kernel.  The embedding is
-what the estimators in `learn` consume.
+Each received waveform, one row of samples, becomes one row of one-sided
+|rfft| magnitudes; rows of magnitudes are embedded with kernel PCA under
+a cosine (normalized dot product) kernel.  The embedding is what the
+estimators in `learn` consume.  Picking a band is a column slice of the
+rows (`pipeline.band_slice_for`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .container import (
     write_container,
 )
 from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
-from .signal import Waveform
 
 _EIG_TOL_FACTOR = 1e-10
 # Bins per column block of a kPCA fit.  Both passes over the training
@@ -36,115 +36,30 @@ _EIG_TOL_FACTOR = 1e-10
 _BLOCK_BINS = 2048
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided magnitude spectrum on a uniform frequency grid.
-
-    Bin k (counting from `first_bin`) sits at (first_bin + k) * bin_hz;
-    f_low and f_high record the band bounds the bins were selected
-    under (lower edge inclusive, upper exclusive).  Magnitudes are raw
-    |rfft| values: for a length-N signal the energy identity is
-    sum(x^2) = (M_0^2 + 2*sum(M_mid^2) [+ M_nyq^2]) / N, the Nyquist
-    term appearing only for even N.
-    """
-
-    magnitudes: np.ndarray
-    bin_hz: float
-    first_bin: int = 0
-    f_low: float | None = None
-    f_high: float | None = None
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if mags.ndim != 1 or mags.size == 0:
-            raise ParameterError("spectrum must be a non-empty 1-D sequence")
-        if not np.isfinite(mags).all():
-            raise ParameterError("spectrum magnitudes must be finite")
-        if (mags < 0).any():
-            raise ParameterError("spectrum magnitudes must be non-negative")
-        if not (self.bin_hz > 0):
-            raise ParameterError("bin_hz must be positive")
-        if self.first_bin < 0:
-            raise ParameterError("first_bin must be non-negative")
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "bin_hz", float(self.bin_hz))
-        object.__setattr__(self, "first_bin", int(self.first_bin))
-        f_low = self.f_low if self.f_low is not None else self.first_bin * self.bin_hz
-        f_high = (
-            self.f_high
-            if self.f_high is not None
-            else (self.first_bin + mags.size) * self.bin_hz
-        )
-        if not (f_low < f_high):
-            raise ParameterError(f"need f_low < f_high, got [{f_low}, {f_high})")
-        object.__setattr__(self, "f_low", float(f_low))
-        object.__setattr__(self, "f_high", float(f_high))
-
-    def __len__(self) -> int:
-        return self.magnitudes.size
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return (self.first_bin + np.arange(self.magnitudes.size)) * self.bin_hz
-
-
 def fft_magnitude(
-    w: Waveform | np.ndarray,
+    samples: np.ndarray,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-) -> Spectrum | np.ndarray:
-    """One-sided magnitude spectrum of a waveform, or of each row of a batch.
+) -> np.ndarray:
+    """One-sided magnitude spectrum of each row of a batch of signals.
 
-    Keeps DC through Nyquist (N//2 + 1 bins for even N), so no energy
-    is dropped.  A Waveform gives a Spectrum.  A 2-D array of samples,
-    one signal per row, gives one |rfft| row per signal, written into
-    `out` when it is given; each row is bit-identical to the 1-D call.
-    A float32 `out` receives the float64 magnitudes rounded once.
-    `scratch`, a complex array shaped like the result, receives the
-    complex spectrum, so a caller that loops allocates it once.
+    `samples` holds one signal per row; each gives its |rfft| row, DC
+    through Nyquist (N//2 + 1 bins for even N), so no energy is dropped.
+    The rows are written into `out` when it is given; a float32 `out`
+    receives the float64 magnitudes rounded once.  `scratch`, a complex
+    array shaped like the result, receives the complex spectrum, so a
+    caller that loops allocates it once.
     """
-    if isinstance(w, Waveform):
-        mags = fft_magnitude(w.samples[None])[0]
-        return Spectrum(mags, bin_hz=w.sample_rate / len(w), first_bin=0)
     # The DC bin sums every sample, so a non-finite sample makes the
     # spectrum non-finite too: one check covers both, and it raises in
     # place of numpy's overflow and invalid-value warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(np.fft.rfft(w, axis=1, out=scratch), out=out)
+        mags = np.abs(np.fft.rfft(samples, axis=1, out=scratch), out=out)
     if not np.isfinite(mags).all():
-        if not np.isfinite(w).all():
+        if not np.isfinite(samples).all():
             raise ParameterError("waveform samples must be finite")
         raise ParameterError("spectrum magnitudes must be finite")
     return mags
-
-
-def band_select(s: Spectrum, f_low: float, f_high: float) -> Spectrum:
-    """Restrict to bins with f_low <= bin frequency < f_high.
-
-    The lower edge is inclusive and the upper exclusive, so adjacent
-    bands partition the bins without overlap or double counting.  A bin
-    sitting exactly at f_high (e.g. Nyquist for an even-length signal
-    with f_high = fs/2) therefore lands in no band below it.
-    """
-    if f_low < 0:
-        raise ParameterError("f_low must be non-negative")
-    if not (f_low < f_high):
-        raise ParameterError(f"need f_low < f_high, got [{f_low}, {f_high})")
-    freqs = s.frequencies
-    keep = (freqs >= f_low) & (freqs < f_high)
-    if not keep.any():
-        raise ParameterError(
-            f"band [{f_low}, {f_high}) Hz selects no bins "
-            f"(spectrum spans [{freqs[0]}, {freqs[-1]}] Hz)"
-        )
-    idx = np.flatnonzero(keep)
-    return Spectrum(
-        s.magnitudes[idx[0] : idx[-1] + 1],
-        bin_hz=s.bin_hz,
-        first_bin=s.first_bin + int(idx[0]),
-        f_low=f_low,
-        f_high=f_high,
-    )
 
 
 def _row_norms(squares: np.ndarray, name: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -126,23 +126,6 @@ class Dataset:
     @property
     def is_classification(self) -> bool:
         return self.label_names is not None
-
-
-def dataset_from_labels(
-    rows: np.ndarray,
-    labels: Sequence[str],
-    split_tag: str = "train",
-    session_ids: np.ndarray | None = None,
-) -> Dataset:
-    """Build a classification dataset from string labels.
-
-    Class order is lexicographic over the distinct label names, so the
-    index meaning is stable across runs and serialized models.
-    """
-    names = tuple(sorted(set(labels)))
-    index = {name: i for i, name in enumerate(names)}
-    targets = np.array([index[lbl] for lbl in labels], dtype=np.int64)
-    return Dataset(rows, targets, names, split_tag, session_ids)
 
 
 def assert_sessions_disjoint(train_sessions: Iterable[int], test: Dataset) -> None:

@@ -474,8 +474,10 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
 def band_slice_for(bin_hz: float, n_bins: int, band: str) -> slice:
     """Column slice of a full-spectrum row matrix for a named band.
 
-    Bin k sits at k * bin_hz; like band_select, the band keeps the bins
-    with f_low <= frequency < f_high.
+    Bin k sits at k * bin_hz, and the band keeps the bins with
+    f_low <= k * bin_hz < f_high: the lower edge is inclusive and the
+    upper exclusive, so adjacent bands split the bins with no gap and
+    no overlap.
     """
     lo, hi = BANDS[band]
     start, stop = np.searchsorted(np.arange(n_bins) * bin_hz, (lo, hi))

@@ -35,10 +35,10 @@ from .envsim import (
 )
 from .errors import DataError, ParameterError
 from .learn import (
+    Dataset,
     MlpModel,
     TrainConfig,
     TrainingHistory,
-    dataset_from_labels,
     load_mlp,
     mlp_forward,
     mlp_train,
@@ -116,8 +116,7 @@ def policy_train(
             f"demos contain only the {only} action; both actions are needed"
         )
     rows = np.stack([encode_window(d.window) for d in demos])
-    labels = [d.action.label for d in demos]
-    data = dataset_from_labels(rows, labels, split_tag="train")
+    data = Dataset(rows, [int(d.action) for d in demos], ACTION_LABELS)
     net, history = mlp_train(data, cfg)
     return PolicyModel(net, window_length), history
 

@@ -44,10 +44,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class ChirpSpec:

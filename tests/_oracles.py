@@ -92,6 +92,11 @@ def zero_crossing_frequencies(samples, sample_rate, block=40):
     return np.asarray(times), np.asarray(freqs)
 
 
+def band_bins(bin_hz, n_bins, f_low, f_high):
+    """Mask of the bins k with f_low <= k * bin_hz < f_high."""
+    return np.array([f_low <= k * bin_hz < f_high for k in range(n_bins)])
+
+
 def time_domain_energy(samples):
     return float(np.sum(np.square(np.asarray(samples, dtype=float))))
 

@@ -179,7 +179,6 @@ COMMAND_FLAGS = {
         "--policy": ("policy", "p.vcas"),
         "--start": ("start", "10,20"),
         "--max-steps": ("max_steps", 9),
-        "--window": ("window_length", 3),
         "--mode": ("mode", "sample"),
     },
 }
@@ -196,8 +195,7 @@ COMMAND_KEYS = {
     "sim demos": _SIM_KEYS | {"episodes", "regime", "window_length"},
     "sim train-policy": {"demos", *TRAIN_SETTINGS},
     "sim eval-policy": _SIM_KEYS | {"policy", "regime", "episodes", "mode"},
-    "sim rollout": _SIM_KEYS
-    | {"policy", "start", "max_steps", "window_length", "mode"},
+    "sim rollout": _SIM_KEYS | {"policy", "start", "max_steps", "mode"},
 }
 
 
@@ -406,6 +404,21 @@ def test_report_on_unrecognized_payload_exits_2(tmp_path):
     bogus = tmp_path / "something.json"
     bogus.write_text(json.dumps({"hello": 1}))
     assert main(["report", str(bogus), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"rows": [{"task": "x"}]}, {"success_rate": 1.0}, "rows"],
+    ids=["row-missing-keys", "sim-missing-regime", "string"],
+)
+def test_report_on_malformed_payload_exits_2(tmp_path, capsys, payload):
+    bogus = tmp_path / "metrics.json"
+    bogus.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["report", str(bogus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bogus) in err[0]
+    assert not out.exists()
 
 
 def test_kpca_and_mlp_from_different_runs_exit_2(workspace, tmp_path, capsys):

@@ -496,3 +496,44 @@ def test_only_the_container_module_touches_files():
             ):
                 hits.append(f"{module.name}:{node.lineno}")
     assert hits == []
+
+
+# Public API that only the acceptance criteria and their tests call.
+_TEST_ONLY_API = {"kpca_fit", "grid_poses", "expert_path_length"}
+
+
+def _names_used(node) -> set[str]:
+    """Every name that `node` reads, imports or looks up as an attribute."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_public_function_and_class_has_a_caller_in_the_package():
+    """No public top-level def or class exists for the tests alone.
+
+    A name counts as used when some top-level statement of `vcas` other
+    than its own definition names it; tests calling it do not count.
+    """
+    src = Path(container.__file__).parent
+    statements = [
+        stmt
+        for module in sorted(src.glob("*.py"))
+        for stmt in ast.parse(module.read_text(), str(module)).body
+    ]
+    used = [_names_used(stmt) for stmt in statements]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = {
+        stmt.name
+        for i, stmt in enumerate(statements)
+        if isinstance(stmt, defs) and not stmt.name.startswith("_")
+        and not any(stmt.name in names for j, names in enumerate(used) if j != i)
+    }
+    assert unused == _TEST_ONLY_API
+

@@ -293,8 +293,22 @@ def test_rollout_replays_bit_for_bit_from_stored_seed():
 
 
 def test_rollout_validation():
-    with pytest.raises(ParameterError):
-        rollout(expert_policy, PoseState(45.0, 45.0), IDENTITY, seed=0, max_steps=0)
+    # Bad arguments are rejected before the policy is first called.
+    calls = []
+
+    def recorder(pose, window, rng):
+        calls.append(window)
+        return Action.ROT_X
+
+    for key, value in (
+        ("max_steps", 0),
+        ("max_steps", MAX_EPISODE_STEPS + 1),
+        ("window_length", 0),
+        ("window_length", -1),
+    ):
+        with pytest.raises(ParameterError, match=key):
+            rollout(recorder, PoseState(45.0, 45.0), IDENTITY, seed=0, **{key: value})
+    assert calls == []
 
     def quitter(pose, window, rng):
         return None

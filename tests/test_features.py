@@ -2,16 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import vcas.features as features
 from _oracles import covariance_pca_projections, kpca_reference
 from vcas.container import PayloadKind, read_container_lazily, write_container
 from vcas.errors import DataError, DegenerateInputError, ParameterError
 from vcas.features import (
-    Spectrum,
-    band_select,
     fft_magnitude,
     kpca_fit,
     kpca_fit_transform,
@@ -20,12 +16,6 @@ from vcas.features import (
     save_kpca,
     write_evr_csv,
 )
-from vcas.signal import Waveform
-
-
-def _spectrum(n=100, bin_hz=1.05, seed=0):
-    rng = np.random.default_rng(seed)
-    return Spectrum(np.abs(rng.normal(size=n)), bin_hz)
 
 
 # ---------------------------------------------------------------- fft
@@ -35,20 +25,20 @@ def test_fft_pure_sine_hits_exact_bin():
     fs, n, k = 44100.0, 4410, 200
     t = np.arange(n) / fs
     freq = k * fs / n
-    s = fft_magnitude(Waveform(np.sin(2 * np.pi * freq * t), fs))
-    assert int(np.argmax(s.magnitudes)) == k
+    mags = fft_magnitude(np.sin(2 * np.pi * freq * t)[None])[0]
+    assert int(np.argmax(mags)) == k
 
 
 def test_fft_constant_signal_all_energy_in_dc():
-    s = fft_magnitude(Waveform(np.full(1000, 0.7), 44100.0))
-    assert int(np.argmax(s.magnitudes)) == 0
-    assert float(np.max(s.magnitudes[1:])) < 1e-9 * s.magnitudes[0]
+    mags = fft_magnitude(np.full((1, 1000), 0.7))[0]
+    assert int(np.argmax(mags)) == 0
+    assert float(np.max(mags[1:])) < 1e-9 * mags[0]
 
 
 def test_fft_bin_spacing():
-    s = fft_magnitude(Waveform(np.zeros(42000) + 1.0, 44100.0))
-    assert s.bin_hz == pytest.approx(1.05)
-    assert len(s) == 21001
+    # 42,000 samples keep DC through Nyquist: 21,001 bins, which at
+    # 44.1 kHz sit 1.05 Hz apart (the datasets' bin_hz).
+    assert fft_magnitude(np.ones((1, 42000))).shape == (1, 21001)
 
 
 def test_fft_batch_rows_equal_the_single_waveform_call():
@@ -58,8 +48,7 @@ def test_fft_batch_rows_equal_the_single_waveform_call():
     mags = fft_magnitude(samples, out=out, scratch=scratch)
     assert mags is out
     for row, x in zip(out, samples):
-        want = fft_magnitude(Waveform(x, 44100.0)).magnitudes
-        assert row.tobytes() == want.tobytes()
+        assert row.tobytes() == fft_magnitude(x[None])[0].tobytes()
         assert row.tobytes() == np.abs(np.fft.rfft(x)).tobytes()
 
 
@@ -71,64 +60,6 @@ def test_fft_batch_rejects_non_finite_samples_and_spectra():
     # Finite samples whose sum overflows: the spectrum is what is non-finite.
     with pytest.raises(ParameterError, match="spectrum magnitudes must be finite"):
         fft_magnitude(np.full((1, 8), 1e308))
-
-
-# ---------------------------------------------------------- band_select
-
-
-def test_band_select_documented_bin_range():
-    # fs=44100, N=42000: [20 Hz, 9190 Hz) keeps bins 20..8752.
-    s = Spectrum(np.arange(21001, dtype=float), 1.05)
-    b = band_select(s, 20.0, 9190.0)
-    assert b.first_bin == 20
-    assert len(b) == 8752 - 20 + 1
-    assert b.magnitudes[0] == 20.0
-    assert b.magnitudes[-1] == 8752.0
-    assert b.f_low == 20.0
-    assert b.f_high == 9190.0
-
-
-def test_band_select_full_range_is_identity():
-    s = _spectrum(n=101)
-    nyquist = 101 * s.bin_hz  # above the last bin's frequency
-    b = band_select(s, 0.0, nyquist)
-    assert np.array_equal(b.magnitudes, s.magnitudes)
-
-
-def test_band_select_rejects_bad_bounds():
-    s = _spectrum()
-    with pytest.raises(ParameterError):
-        band_select(s, 50.0, 50.0)
-    with pytest.raises(ParameterError):
-        band_select(s, 60.0, 50.0)
-    with pytest.raises(ParameterError):
-        band_select(s, -5.0, 50.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(split_frac=st.floats(0.05, 0.95), n=st.integers(16, 300))
-def test_band_split_concatenation_is_exact(split_frac, n):
-    rng = np.random.default_rng(n)
-    s = Spectrum(np.abs(rng.normal(size=n)), 1.05)
-    top = n * 1.05
-    split = split_frac * (n - 1) * 1.05
-    low = band_select(s, 0.0, split)
-    high = band_select(s, split, top)
-    both = band_select(s, 0.0, top)
-    assert np.array_equal(
-        np.concatenate([low.magnitudes, high.magnitudes]), both.magnitudes
-    )
-
-
-def test_spectrum_frequencies_and_peak():
-    s = Spectrum(np.array([0.0, 3.0, 1.0]), 2.0, first_bin=5)
-    assert np.array_equal(s.frequencies, [10.0, 12.0, 14.0])
-    assert s.frequencies[np.argmax(s.magnitudes)] == 12.0
-
-
-def test_spectrum_rejects_negative_magnitudes():
-    with pytest.raises(ParameterError):
-        Spectrum(np.array([-1.0, 1.0]), 1.0)
 
 
 # --------------------------------------------------------- cosine kernel

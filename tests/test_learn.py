@@ -14,7 +14,6 @@ from vcas.learn import (
     MlpModel,
     TrainConfig,
     assert_sessions_disjoint,
-    dataset_from_labels,
     eval_classifier,
     eval_regressor,
     load_mlp,
@@ -56,17 +55,10 @@ def blobs(n_per, seed=7, spread=0.3):
             rng.normal(loc=(3.0, 0.0), scale=spread, size=(n_per, 2)),
         ]
     )
-    return dataset_from_labels(rows, ["a"] * n_per + ["b"] * n_per)
+    return Dataset(rows, [0] * n_per + [1] * n_per, ("a", "b"))
 
 
 # ------------------------------------------------------------ datasets
-
-
-def test_dataset_from_labels_lexicographic_order():
-    rows = np.zeros((3, 2))
-    data = dataset_from_labels(rows, ["b", "a", "b"])
-    assert data.label_names == ("a", "b")
-    assert data.targets.tolist() == [1, 0, 1]
 
 
 def test_dataset_validation():
@@ -355,7 +347,7 @@ def test_full_batch_loss_monotone_on_convex_slice(monkeypatch):
     rows = np.vstack(
         [rng.normal(loc=-1, size=(20, 3)), rng.normal(loc=1, size=(20, 3))]
     )
-    data = dataset_from_labels(rows, ["neg"] * 20 + ["pos"] * 20)
+    data = Dataset(rows, [0] * 20 + [1] * 20, ("neg", "pos"))
     cfg = TrainConfig(
         step_size=1e-3, batch_size=64, max_epochs=80,
         patience=200, validation_fraction=0.0, seed=0,
@@ -367,7 +359,7 @@ def test_full_batch_loss_monotone_on_convex_slice(monkeypatch):
 
 def test_train_refuses_single_class():
     rows = np.random.default_rng(1).normal(size=(6, 2))
-    data = dataset_from_labels(rows, ["only"] * 6)
+    data = Dataset(rows, [0] * 6, ("only",))
     with pytest.raises(ParameterError, match="only"):
         mlp_train(data, TrainConfig(max_epochs=2))
 
@@ -435,14 +427,14 @@ def test_eval_classifier_perfect_predictor():
 
 def test_eval_classifier_constant_predictor_scores_one_over_l():
     rows = np.random.default_rng(2).normal(size=(12, 3))
-    data = dataset_from_labels(rows, ["a", "b", "c", "d"] * 3)
+    data = Dataset(rows, [0, 1, 2, 3] * 3, ("a", "b", "c", "d"))
     cm = eval_classifier(zero_model(3, 4), data)
     assert cm.accuracy == pytest.approx(1.0 / 4.0)
 
 
 def test_eval_classifier_ties_resolve_to_lowest_index():
     rows = np.random.default_rng(3).normal(size=(6, 3))
-    data = dataset_from_labels(rows, ["a", "b", "c"] * 2)
+    data = Dataset(rows, [0, 1, 2] * 2, ("a", "b", "c"))
     cm = eval_classifier(zero_model(3, 3), data)
     # Uniform probabilities tie on every row; column 0 takes all mass.
     assert cm.counts[:, 0].sum() == 6
@@ -456,7 +448,7 @@ def test_eval_classifier_rejects_empty_and_mismatched_labels():
         eval_classifier(
             model, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), ("a", "b"))
         )
-    other = dataset_from_labels(np.zeros((2, 3)), ["x", "y"])
+    other = Dataset(np.zeros((2, 3)), [0, 1], ("x", "y"))
     with pytest.raises(ParameterError, match="label spaces"):
         eval_classifier(model, other)
 

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from _oracles import kpca_reference
+from _oracles import band_bins, kpca_reference
 
 import vcas.pipeline
 from vcas import features
@@ -312,11 +312,14 @@ def test_band_slice_keeps_band_selects_edge_rule():
     assert band_slice_for(10.0, 3000, "low") == slice(2, 919)
     assert band_slice_for(10.0, 3000, "high") == slice(919, 2205)
     for bin_hz, n_bins in ((10.0, 3000), (1.05, 21001), (7.3, 4000)):
-        ones = features.Spectrum(np.ones(n_bins), bin_hz)
+        kept = {}
         for band, (lo, hi) in BANDS.items():
-            ref = features.band_select(ones, lo, hi)
-            want = slice(ref.first_bin, ref.first_bin + len(ref))
-            assert band_slice_for(bin_hz, n_bins, band) == want
+            kept[band] = np.arange(n_bins)[band_slice_for(bin_hz, n_bins, band)]
+            want = np.flatnonzero(band_bins(bin_hz, n_bins, lo, hi))
+            assert np.array_equal(kept[band], want)
+        # low and high split full with no gap and no overlap.
+        both = np.concatenate([kept["low"], kept["high"]])
+        assert np.array_equal(both, kept["full"])
     with pytest.raises(ParameterError, match="selects none"):
         band_slice_for(1.05, 100, "high")
 
