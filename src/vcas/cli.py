@@ -40,7 +40,7 @@ from .envsim import (
     write_demos,
 )
 from .errors import DataError, ParameterError, VcasError
-from .features import load_kpca, save_kpca, write_evr_csv
+from .features import load_kpca, write_evr_csv
 from .learn import (
     ConfusionMatrix,
     TrainConfig,
@@ -66,8 +66,10 @@ from .pipeline import (
 
 # perfbench's tracer looks these up here (ROADMAP item 3), so they stay
 # importable until its SITES table is retired; synth-data streams its
-# rows through plan_synthesis, synthesize and open_dataset, and eval
-# reads its test files through read_dataset_lazily, instead.
+# rows through plan_synthesis, synthesize and open_dataset, eval reads
+# its test files through read_dataset_lazily, and train's kPCA file is
+# written by train_task as it is fitted, instead.
+from .features import save_kpca  # noqa: F401, E402
 from .pipeline import read_dataset, synth_task_data, write_dataset  # noqa: F401, E402
 from .policy import (
     PolicyMode,
@@ -295,10 +297,14 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     if not train_path.exists():
         raise DataError(f"no training data at {train_path}; run synth-data first")
     # The training rows stay in their file: kernel PCA reads them in
-    # column blocks, so train never holds them all.
-    with read_dataset_lazily(train_path) as (train_ds, meta):
-        models = train_task(train_ds, float(meta["bin_hz"]), cfg)
+    # column blocks, so train never holds them all.  The projection goes
+    # to its file as it is made, before the MLP trains, so train never
+    # holds it either; a failed MLP leaves an unpaired kPCA file, which
+    # eval's fit_id check refuses.
     mdir = Path(out_dir) / cfg.task / "models"
+    kpca_path = mdir / f"kpca_{cfg.band}.vcas"
+    with read_dataset_lazily(train_path) as (train_ds, meta):
+        models = train_task(train_ds, float(meta["bin_hz"]), cfg, kpca_path)
     history = history_to_dict(models.history)
     history.update(
         {
@@ -311,11 +317,7 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         }
     )
     return [
-        save_kpca(
-            models.kpca,
-            mdir / f"kpca_{cfg.band}.vcas",
-            {"train_sessions": list(models.train_sessions)},
-        ),
+        kpca_path,
         save_mlp(
             models.mlp,
             mdir / f"mlp_{cfg.band}.vcas",

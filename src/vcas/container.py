@@ -22,9 +22,11 @@ bit-exact for `<f8` and gives x's float32 values, widened, for `<f4`.
 Reads and writes hold one copy of each array (a `<f4` one is read
 through a small staging buffer).  Every container is written by
 `open_container`, one block of rows at a time (`write_container` puts
-each array whole), and `read_container_lazily` leaves a chosen matrix
-in the file as a DiskMatrix, which reads ranges of its rows and columns
-on demand, so its callers need not hold it at all.  A corrupted magic,
+each array whole; a dataset's rows and a kPCA projection are put as
+they are made, so their writers never hold them), and
+`read_container_lazily` leaves a chosen matrix in the file as a
+DiskMatrix, which reads ranges of its rows and columns on demand, so
+its callers need not hold it at all.  A corrupted magic,
 an unknown version, an unexpected kind or an array running past the
 end of the file is rejected before any payload is read; a file of
 another version (1 had no dtype bytes) names the commands that rewrite

@@ -10,9 +10,10 @@ rows (`pipeline.band_slice_for`).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +22,21 @@ from .container import (
     DiskMatrix,
     PayloadKind,
     atomic_write,
+    open_container,
     read_container,  # noqa: F401  perfbench's tracer looks it up (ROADMAP item 3)
     read_container_lazily,
-    write_container,
+    write_container,  # noqa: F401  perfbench's tracer looks it up (ROADMAP item 3)
 )
 from .errors import DataError, DegenerateInputError, NumericalError, ParameterError
 
 _EIG_TOL_FACTOR = 1e-10
 # Bins per column block of a kPCA fit.  Both passes over the training
 # rows (the Gram, then the projection) take one block at a time, so a
-# fit holds one block of rows, never all of them.  Full-size contact
-# `train` (3,000 rows) peaked at 419, 400 and 406 MB with 1,024-,
-# 2,048- and 4,096-bin blocks, and at 504 rows at 149, 151 and 155 MB.
+# fit holds one block of rows, never all of them, and `train` one block
+# of projection rows on its way to the file.  Full-size contact `train`
+# (3,000 rows) peaked at 419, 400 and 406 MB with 1,024-, 2,048- and
+# 4,096-bin blocks (eigh sets it), and at 504 rows (500 components) at
+# 69, 71 and 87 MB.
 _BLOCK_BINS = 2048
 
 
@@ -97,17 +101,18 @@ class KernelPcaModel:
     from the raw rows X, and kpca_transform takes x @ projection / |x|.
     A loaded model's projection is a DiskMatrix left in its file
     (load_kpca), read by kpca_transform one column block's rows at a
-    time.
+    time; a fit that wrote its projection straight to a file
+    (kpca_fit_transform with a path) holds None.
     """
 
-    projection: np.ndarray | DiskMatrix
+    projection: np.ndarray | DiskMatrix | None
     offset: np.ndarray
     eigenvalues: np.ndarray
     explained_variance_ratio: np.ndarray
 
     @property
     def n_components(self) -> int:
-        return self.projection.shape[1]
+        return len(self.eigenvalues)
 
     @property
     def n_bins(self) -> int:
@@ -123,13 +128,17 @@ class KernelPcaModel:
 
 
 def kpca_fit_transform(
-    rows: np.ndarray | DiskMatrix, n_components: int
+    rows: np.ndarray | DiskMatrix,
+    n_components: int,
+    path: str | Path | None = None,
+    meta: dict | None = None,
 ) -> tuple[KernelPcaModel, np.ndarray]:
     """Fit cosine kernel PCA; return (model, training-row embeddings).
 
     The rows (an array, or a container's DiskMatrix) are read in two
     passes of column blocks: the first sums the Gram matrix, whose
-    diagonal gives the row norms, and the second fills the projection.
+    diagonal gives the row norms, and the second makes the projection,
+    one block of its rows per block of bins.
     The normalised Gram is double-centered (mean removal in the kernel feature space),
     eigendecomposed, and the top `n_components` eigenpairs with
     eigenvalues above tolerance are retained.  Raises ParameterError
@@ -137,6 +146,12 @@ def kpca_fit_transform(
     positive-eigenvalue count.  The embeddings come straight from the
     eigensystem (centered Gram times the coefficient columns);
     kpca_transform on the training rows agrees to rounding.
+
+    Without `path` the projection's blocks fill an array in the model.
+    With `path`, the model file save_kpca(model, path, meta) would write
+    is opened once the eigensystem is known (its header needs only the
+    fit_id) and each block is written to it as it is made, so no
+    bins-sized array is held; the returned model's projection is None.
     """
     shape = np.shape(rows)
     if len(shape) != 2 or shape[1] == 0:
@@ -192,19 +207,29 @@ def kpca_fit_transform(
     embeddings = centered @ coef
     del centered, gram, evecs  # the n x n arrays go before the projection
 
-    evr = kept_vals / float(evals[evals > tol].sum())
-    scaled = (coef - coef.mean(axis=0)) / norms[:, None]
-    projection = np.empty((n_bins, n_components))
-    for cols, block in _column_blocks(rows):
-        np.matmul(block.T, scaled, out=projection[cols])
-        del block
     model = KernelPcaModel(
-        projection=projection,
+        projection=None,
         offset=-row_means @ coef + grand * coef.sum(axis=0),
         eigenvalues=kept_vals,
-        explained_variance_ratio=evr,
+        explained_variance_ratio=kept_vals / float(evals[evals > tol].sum()),
     )
+    scaled = (coef - coef.mean(axis=0)) / norms[:, None]
+    if path is None:
+        projection = np.empty((n_bins, n_components))
+        model = replace(model, projection=projection)
+        sink = contextlib.nullcontext(functools.partial(_put_rows, projection))
+    else:
+        sink = _open_kpca(model, n_bins, path, meta)
+    product = np.empty((min(n_bins, _BLOCK_BINS), n_components))
+    with sink as put:
+        for cols, block in _column_blocks(rows):
+            put(cols.start, np.matmul(block.T, scaled, out=product[: block.shape[1]]))
+            del block
     return model, embeddings
+
+
+def _put_rows(array: np.ndarray, first_row: int, block: np.ndarray) -> None:
+    array[first_row : first_row + len(block)] = block
 
 
 def kpca_fit(rows: np.ndarray, n_components: int) -> KernelPcaModel:
@@ -267,19 +292,38 @@ def write_evr_csv(model: KernelPcaModel, path: str | Path) -> Path:
     return Path(path)
 
 
-def save_kpca(
-    model: KernelPcaModel, path: str | Path, meta: dict | None = None
-) -> Path:
-    """Write the primal-form model; `meta` adds entries to its metadata."""
-    arrays = {
-        "projection": model.projection,
+@contextlib.contextmanager
+def _open_kpca(
+    model: KernelPcaModel, n_bins: int, path: str | Path, meta: dict | None
+) -> Iterator[Callable[[int, np.ndarray], None]]:
+    """Open `model`'s file and write all but its projection.
+
+    Yields `put(first_row, block)` for the projection's rows; the file
+    appears at `path` once the block completes with every row put.
+    """
+    small = {
         "offset": model.offset,
         "eigenvalues": model.eigenvalues,
         "explained_variance_ratio": model.explained_variance_ratio,
     }
-    return write_container(
-        path, PayloadKind.KPCA_MODEL, arrays, {**(meta or {}), "fit_id": model.fit_id}
-    )
+    shapes = {
+        "projection": (n_bins, model.n_components),
+        **{name: arr.shape for name, arr in small.items()},
+    }
+    meta = {**(meta or {}), "fit_id": model.fit_id}
+    with open_container(path, PayloadKind.KPCA_MODEL, shapes, meta) as put:
+        for name, arr in small.items():
+            put(name, 0, arr)
+        yield functools.partial(put, "projection")
+
+
+def save_kpca(
+    model: KernelPcaModel, path: str | Path, meta: dict | None = None
+) -> Path:
+    """Write the primal-form model; `meta` adds entries to its metadata."""
+    with _open_kpca(model, model.n_bins, path, meta) as put:
+        put(0, model.projection)
+    return Path(path)
 
 
 @contextlib.contextmanager

@@ -510,21 +510,27 @@ class TaskModels:
         return self.kpca.n_components
 
 
-def train_task(train: Dataset, bin_hz: float, cfg: RunConfig) -> TaskModels:
+def train_task(
+    train: Dataset, bin_hz: float, cfg: RunConfig, kpca_path: Path | None = None
+) -> TaskModels:
     """Band-select, fit kernel PCA, train the estimator.
 
     The band is a column range of `train.rows`, so rows left on disk
-    (read_dataset_lazily) are read only within the band.
+    (read_dataset_lazily) are read only within the band.  With
+    `kpca_path`, the kPCA model (with its training sessions) is written
+    there block by block as it is fitted, before the estimator trains,
+    and the returned kPCA model holds no projection.
     """
     sl = band_slice_for(bin_hz, train.rows.shape[1], cfg.band)
+    sessions = tuple(np.unique(train.session_ids).tolist())
     kpca, embeddings = kpca_fit_transform(
-        train.rows[:, sl], cfg.n_components_resolved
+        train.rows[:, sl], cfg.n_components_resolved, kpca_path,
+        {"train_sessions": list(sessions)},
     )
     emb_ds = Dataset(
         embeddings, train.targets, train.label_names, "train", train.session_ids
     )
     mlp, history = mlp_train(emb_ds, cfg.train)
-    sessions = tuple(np.unique(train.session_ids).tolist())
     return TaskModels(cfg.task, cfg.band, kpca, mlp, sessions, history)
 
 

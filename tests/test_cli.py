@@ -619,9 +619,11 @@ def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
     # Default grasp sizes: 300 training rows of 21,001 bins, stored as
-    # float32 (24 MB; 48 MB once widened).
-    args = ["--task", "grasp", "--set", "n_components=3", "--set", "max_epochs=2",
-            "--out", str(tmp_path)]
+    # float32 (24 MB; 48 MB once widened).  At 200 components, as in the
+    # eval test, the projection is 21,001 x 200 doubles (34 MB).
+    n_components = 200
+    args = ["--task", "grasp", "--set", f"n_components={n_components}",
+            "--set", "max_epochs=2", "--out", str(tmp_path)]
     assert main(["synth-data", *args]) == 0
     capsys.readouterr()
     grasp = tmp_path / "grasp"
@@ -630,23 +632,27 @@ def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
         ["-c", "from vcas.cli import run; run()", "train", *args],
     )
     n_rows = len(read_dataset(grasp / "data" / "in_distribution.train.vcas")[0])
-    written = sum(p.stat().st_size for p in (grasp / "models").iterdir())
     # train reads its rows one column block at a time, widened to
     # float64 (n x 2,048 bins, 4.9 MB), so it holds one block and its
     # finite-check mask, the n x n Gram, its product buffer and the
     # eigensolver's copy, eigenvectors and workspace (under 8 n^2
-    # doubles), the labels, and the MLP's parameters, Adam moments and
-    # best copy (1 MB each); the fixed 8 MB also covers the 64 KB
-    # staging buffer that float32 rows are read through.  Threaded
-    # OpenBLAS touches about 5 MB of gemm buffers per thread.  Nothing
-    # here grows with the bins, so holding the rows breaks it.
+    # doubles), the labels, one block of projection rows (2,048 x 200,
+    # 3.3 MB) on its way to the kPCA file, and the MLP (its file's
+    # bytes: parameters; its Adam moments and best copy are each as
+    # large again, 0.3 MB in all at 200 components); the fixed 8 MB
+    # covers those, the embeddings and the 64 KB staging buffer that
+    # float32 rows are read through.  Threaded OpenBLAS touches about
+    # 5 MB of gemm buffers per thread.  Nothing here grows with the
+    # bins, so holding the rows or the projection breaks it.
     block = n_rows * features._BLOCK_BINS * np.dtype(np.float64).itemsize
+    projection_block = features._BLOCK_BINS * n_components * 8
+    mlp = (grasp / "models" / "mlp_full.vcas").stat().st_size
     if hasattr(os, "sched_getaffinity"):
         threads = len(os.sched_getaffinity(0))
     else:
         threads = os.cpu_count()
     slack = 8 * 2**20 + threads * 5 * 2**20
-    bound = bare + written + block + 8 * n_rows**2 * 8 + slack
+    bound = bare + mlp + projection_block + block + 8 * n_rows**2 * 8 + slack
     assert peak <= bound, (
         f"train peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
     )
@@ -762,6 +768,41 @@ def test_numerical_error_exits_3(monkeypatch, tmp_path):
 
     monkeypatch.setattr(vcas.cli, "_dispatch", diverge)
     assert main(["train", "--task", "grasp", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("earlier_models", [False, True])
+def test_an_mlp_failing_after_the_projection_leaves_no_pair_eval_scores(
+    workspace, tmp_path, monkeypatch, capsys, earlier_models
+):
+    # train writes the kPCA file before the MLP trains.  If the MLP then
+    # fails, eval must not score the new kPCA file with no MLP or with
+    # an MLP from an earlier train run.
+    shutil.copytree(workspace / "grasp" / "data", tmp_path / "grasp" / "data")
+    models = tmp_path / "grasp" / "models"
+    if earlier_models:
+        shutil.copytree(workspace / "grasp" / "models", models)
+    args = ["--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]
+    kpca_path = models / "kpca_full.vcas"
+    streamed = []
+
+    def diverge(*a, **kw):
+        with load_kpca(kpca_path) as (kpca, _):
+            streamed.append(kpca.n_components)
+        raise NumericalError("loss is NaN")
+
+    monkeypatch.setattr(vcas.pipeline, "mlp_train", diverge)
+    assert main(["train", *args, "--set", "n_components=2"]) == 3
+    assert streamed == [2]
+    assert list(models.rglob(".*")) == []  # no temporary file is left
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["eval", *args]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    if earlier_models:
+        assert "come from different train runs" in line
+    else:
+        assert line == f"error: no model at {models / 'mlp_full.vcas'}; run train first"
+    assert not (tmp_path / "grasp" / "eval").exists()
 
 
 def test_help_exits_0(capsys):

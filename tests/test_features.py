@@ -6,7 +6,7 @@ import pytest
 import vcas.features as features
 from _oracles import covariance_pca_projections, kpca_reference
 from vcas.container import PayloadKind, read_container_lazily, write_container
-from vcas.errors import DataError, DegenerateInputError, ParameterError
+from vcas.errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from vcas.features import (
     fft_magnitude,
     kpca_fit,
@@ -251,6 +251,42 @@ def test_kpca_save_load_round_trip(tmp_path):
         assert loaded.eigenvalues.tobytes() == model.eigenvalues.tobytes()
         got = kpca_transform(loaded, new)
     assert got.tobytes() == kpca_transform(model, new).tobytes()
+
+
+@pytest.mark.parametrize("n_bins", [8, 2 * features._BLOCK_BINS,
+                                    2 * features._BLOCK_BINS + 301])
+def test_a_streamed_fit_of_an_array_writes_the_file_save_kpca_writes(tmp_path, n_bins):
+    # One partial block, two whole blocks, and two whole blocks and a
+    # partial one.
+    rng = np.random.default_rng(18)
+    rows = np.abs(rng.normal(size=(11, n_bins))) + 0.1
+    want = save_kpca(kpca_fit(rows, 4), tmp_path / "want.vcas", {"train_sessions": [3]})
+    model, _ = kpca_fit_transform(rows, 4, tmp_path / "got.vcas", {"train_sessions": [3]})
+    assert (tmp_path / "got.vcas").read_bytes() == want.read_bytes()
+    assert model.projection is None and model.n_components == 4
+
+
+def test_a_streamed_fit_that_fails_writes_no_file(tmp_path, monkeypatch):
+    rows = np.abs(np.random.default_rng(19).normal(size=(5, 3 * features._BLOCK_BINS)))
+    with pytest.raises(ParameterError, match="exceeds"):
+        kpca_fit_transform(rows + 0.1, 9, tmp_path / "k.vcas")
+    assert list(tmp_path.iterdir()) == []
+
+    # Fail in the projection pass, once its first block has been written.
+    passes = []
+    column_blocks = features._column_blocks
+
+    def failing(rows):
+        passes.append(rows)
+        for i, item in enumerate(column_blocks(rows)):
+            if len(passes) == 2 and i == 1:
+                raise NumericalError("stopped mid-projection")
+            yield item
+
+    monkeypatch.setattr(features, "_column_blocks", failing)
+    with pytest.raises(NumericalError, match="mid-projection"):
+        kpca_fit_transform(rows + 0.1, 2, tmp_path / "k.vcas")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):

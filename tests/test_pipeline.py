@@ -10,7 +10,7 @@ from vcas import features
 from vcas.cli import cmd_synth_data
 from vcas.container import PayloadKind, write_container
 from vcas.errors import DataError, ParameterError
-from vcas.features import kpca_fit_transform
+from vcas.features import kpca_fit, kpca_fit_transform, load_kpca, save_kpca
 from vcas.learn import ConfusionMatrix, Dataset, TrainConfig
 from vcas.pipeline import (
     BANDS,
@@ -465,6 +465,61 @@ def test_kpca_fits_a_file_and_an_array_of_the_same_rows_to_the_same_bits(
         direct = np.abs(emb[:, j] - ref_emb[:, j]).max()
         flipped = np.abs(emb[:, j] + ref_emb[:, j]).max()
         assert min(direct, flipped) < 1e-8
+
+
+@pytest.mark.parametrize("band", ["full", "low", "high"])
+@pytest.mark.parametrize("source", ["array", "file"])
+def test_a_streamed_kpca_fit_writes_the_file_save_kpca_writes(
+    tmp_path, grasp_data, source, band
+):
+    # A band of the rows of a dataset file (or of the same rows in
+    # memory); every band's bin count leaves its last column block
+    # partial.
+    bin_hz, data = grasp_data
+    train = data["in_distribution", "train"]
+    sl = band_slice_for(bin_hz, train.rows.shape[1], band)
+    assert (sl.stop - sl.start) % features._BLOCK_BINS
+    path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution", 1.05)
+    meta = {"train_sessions": [0, 1]}
+    got_path = tmp_path / "models" / "got.vcas"
+    with read_dataset_lazily(path) as (on_disk, _):
+        rows = (on_disk.rows if source == "file" else train.rows)[:, sl]
+        want = save_kpca(kpca_fit(rows, 3), tmp_path / "want.vcas", meta)
+        _, want_emb = kpca_fit_transform(rows, 3)
+        model, emb = kpca_fit_transform(rows, 3, got_path, meta)
+    assert got_path.read_bytes() == want.read_bytes()
+    assert emb.tobytes() == want_emb.tobytes()
+    assert model.projection is None
+    with load_kpca(want) as (saved, saved_meta):
+        assert model.fit_id == saved_meta["fit_id"] == saved.fit_id
+        assert model.n_components == saved.n_components == 3
+        for name in ("offset", "eigenvalues", "explained_variance_ratio"):
+            assert getattr(model, name).tobytes() == getattr(saved, name).tobytes()
+    assert [p.name for p in got_path.parent.iterdir()] == ["got.vcas"]
+
+
+def test_train_task_writes_its_kpca_file_before_the_mlp_trains(
+    tmp_path, grasp_data, monkeypatch
+):
+    bin_hz, data = grasp_data
+    train = data["in_distribution", "train"]
+    kpca_path = tmp_path / "kpca_full.vcas"
+    trained_after = []
+    mlp_train = vcas.pipeline.mlp_train
+
+    def spy(*args, **kwargs):
+        trained_after.append(kpca_path.is_file())
+        return mlp_train(*args, **kwargs)
+
+    monkeypatch.setattr(vcas.pipeline, "mlp_train", spy)
+    models = train_task(train, bin_hz, tiny_grasp_config(), kpca_path)
+    assert trained_after == [True]
+    assert models.kpca.projection is None
+    in_memory = train_task(train, bin_hz, tiny_grasp_config())
+    want = save_kpca(in_memory.kpca, tmp_path / "want.vcas",
+                     {"train_sessions": list(in_memory.train_sessions)})
+    assert kpca_path.read_bytes() == want.read_bytes()
+    assert models.kpca.fit_id == in_memory.kpca.fit_id
 
 
 def test_dataset_path_layout(tmp_path):
