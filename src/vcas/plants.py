@@ -105,10 +105,35 @@ def _parse_modes(raw, where: str) -> Modes:
     return modes
 
 
-def _parse_snr(raw) -> float:
+def _number(raw, where: str) -> float:
+    """A JSON number (not a boolean) as a float."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise DataError(f"{where} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise DataError(f"{where} is out of range") from exc
+
+
+def _finite_numbers(raw, where: str) -> tuple[float, ...]:
+    if not isinstance(raw, list):
+        raise DataError(f"{where} must be a list of numbers, got {raw!r}")
+    values = tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(raw))
+    if not all(math.isfinite(v) for v in values):
+        raise DataError(f"{where} must be finite, got {raw!r}")
+    return values
+
+
+def _parse_snr(raw, path: Path) -> float:
+    """noise_snr_db in dB; absent, null or Infinity means noise-free."""
     if raw is None:
         return math.inf
-    return float(raw)
+    snr = _number(raw, f"preset {path}: noise_snr_db")
+    if math.isnan(snr) or snr == -math.inf:
+        raise DataError(
+            f"preset {path}: noise_snr_db must be finite or Infinity, got {raw!r}"
+        )
+    return snr
 
 
 def default_preset_path(task: str) -> Path:
@@ -126,9 +151,11 @@ def load_preset(source: str | Path) -> Preset:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"preset {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"preset {path} must be a JSON object")
 
     task = raw.get("task")
-    snr = _parse_snr(raw.get("noise_snr_db"))
+    snr = _parse_snr(raw.get("noise_snr_db"), path)
     if task in ("object", "grasp"):
         classes = raw.get("classes")
         if not isinstance(classes, dict) or len(classes) < 2:
@@ -140,8 +167,10 @@ def load_preset(source: str | Path) -> Preset:
         )
     if task == "pose":
         base = _parse_modes(raw.get("base_modes"), "base_modes")
-        slopes = tuple(float(s) for s in raw.get("freq_slope_hz_per_deg", ()))
-        angles = tuple(float(a) for a in raw.get("train_angles", ()))
+        slopes, angles = (
+            _finite_numbers(raw.get(key, []), f"preset {path}: {key}")
+            for key in ("freq_slope_hz_per_deg", "train_angles")
+        )
         if len(slopes) != len(base):
             raise DataError(f"preset {path}: one frequency slope per mode required")
         if len(angles) < 2 or sorted(set(angles)) != list(angles):
@@ -149,11 +178,12 @@ def load_preset(source: str | Path) -> Preset:
         return PosePreset(task, snr, base, slopes, angles)
     if task == "contact":
         base = _parse_modes(raw.get("base_modes"), "base_modes")
-        slopes = tuple(
-            (float(sx), float(sz))
-            for sx, sz in raw.get("pose_freq_slope_hz_per_deg", ())
-        )
-        if len(slopes) != len(base):
+        pairs = raw.get("pose_freq_slope_hz_per_deg", [])
+        where = f"preset {path}: pose_freq_slope_hz_per_deg"
+        if not isinstance(pairs, list):
+            raise DataError(f"{where} must be a list of (x, z) pairs")
+        slopes = tuple(_finite_numbers(p, f"{where}[{i}]") for i, p in enumerate(pairs))
+        if len(slopes) != len(base) or any(len(pair) != 2 for pair in slopes):
             raise DataError(f"preset {path}: one (x, z) slope pair per mode required")
         scales = {}
         for key in ("damping_scale", "gain_scale"):
@@ -162,7 +192,7 @@ def load_preset(source: str | Path) -> Preset:
                 raise DataError(f"preset {path}: {key} must cover {CONTACT_LABELS}")
             parsed = {}
             for label, factors in table.items():
-                factors = tuple(float(v) for v in factors)
+                factors = _finite_numbers(factors, f"preset {path}: {key}[{label}]")
                 if len(factors) != len(base) or any(v <= 0 for v in factors):
                     raise DataError(
                         f"preset {path}: {key}[{label}] needs {len(base)} "

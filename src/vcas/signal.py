@@ -4,7 +4,8 @@ The plant stands in for a physical gripper/object system: each object
 configuration is modeled as a small bank of second-order resonant modes
 driven by the excitation sweep, plus additive white Gaussian noise at a
 configured SNR.  modal_response filters one plant or a whole batch of
-plants in one lockstep pass, in numpy alone.  Everything here is a pure
+plants in one lockstep pass, in numpy alone, and can round its float64
+responses once into a float32 array.  Everything here is a pure
 function of its inputs (including the noise seed), so calls are safe
 from any thread.
 """
@@ -154,7 +155,9 @@ _BLOCK = 64
 
 
 def modal_response(
-    plants: ModalPlant | Sequence[ModalPlant], excitation: Waveform
+    plants: ModalPlant | Sequence[ModalPlant],
+    excitation: Waveform,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise-free plant output: the excitation through each mode, summed.
 
@@ -162,12 +165,27 @@ def modal_response(
     per plant.  Every mode of every plant runs in lockstep through the
     direct-form-II-transposed recursion in lfilter's operation order,
     and modes are summed in order, so each row is bit-identical to
-    summing `scipy.signal.lfilter` over the plant's modes.
+    summing `scipy.signal.lfilter` over the plant's modes.  The
+    responses are written into `out` when it is given (float32 or
+    float64, shaped like the result); the arithmetic stays float64, and
+    a float32 `out` receives each float64 sample rounded once.
     """
     single = isinstance(plants, ModalPlant)
     batch = (plants,) if single else tuple(plants)
     if not batch:
         raise ParameterError("modal_response needs at least one plant")
+    shape = (len(excitation),) if single else (len(batch), len(excitation))
+    if out is None:
+        out = np.empty(shape)
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.shape != shape
+        or out.dtype not in (np.dtype("<f4"), np.dtype("<f8"))
+    ):
+        raise ParameterError(
+            f"out must be a <f4 or <f8 array of shape {shape}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        )
     fs = excitation.sample_rate
     for plant in batch:
         for f, _, _ in plant.modes:
@@ -196,7 +214,7 @@ def modal_response(
     bx12 = np.empty((_BLOCK, 2, n_modes, len(batch)))
     y = np.empty((_BLOCK, n_modes, len(batch)))
     total = np.empty((_BLOCK, len(batch)))
-    out = np.empty((len(batch), len(excitation)))
+    rows = out[None] if single else out
     x = excitation.samples
     for start in range(0, x.size, _BLOCK):
         xb = x[start : start + _BLOCK, None, None]
@@ -213,8 +231,8 @@ def modal_response(
         total[:n] = 0.0
         for m in range(n_modes):
             total[:n] += y[:n, m]
-        out[:, start : start + n] = total[:n].T
-    return out[0] if single else out
+        rows[:, start : start + n] = total[:n].T
+    return out
 
 
 def noise_std_for_snr(clean: np.ndarray, snr_db: float) -> float:

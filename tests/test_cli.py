@@ -28,6 +28,7 @@ from vcas.pipeline import (
     synth_task_data,
     write_dataset,
 )
+from vcas.plants import default_preset_path
 
 TINY_GRASP = [
     "--set", "sessions_train=2",
@@ -660,23 +661,30 @@ def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
-    # Default grasp sizes: 450 rows of 21,001 bins (36 MB as float32,
-    # 72 MB as float64) from 18 jobs.
-    args = ["synth-data", "--task", "grasp", "--out", str(tmp_path)]
+    # The benchmark's contact sizes: 1,119 rows of 21,001 bins (90 MB as
+    # float32) from 155 jobs, whose clean responses take 25 MB as float32
+    # and 50 MB as float64 (MB = 2**20 bytes, as RSS is counted here).
+    sizes = {"train_per_class": 42, "test_per_class": 5}
+    args = ["synth-data", "--task", "contact", "--out", str(tmp_path)]
+    for key, value in sizes.items():
+        args += ["--set", f"{key}={value}"]
     bare, peak = _peak_rss(
         ["-c", "import vcas.cli"], ["-c", "from vcas.cli import run; run()", *args]
     )
-    plan = plan_synthesis(RunConfig(task="grasp"))
+    plan = plan_synthesis(RunConfig(task="contact", **sizes))
     n_samples = len(plan.chirp)
-    clean = len(plan.jobs) * n_samples * 8
-    # Each pool worker holds its chunk buffers (4 noisy rows, their
-    # complex spectrum and their magnitudes in the stored row dtype:
-    # 3.0 MB) and about 2 MB of rfft working copies and allocator arena;
-    # the fixed 8 MB holds the modal filter's block buffers, the labels
-    # and the thread pool's imports.  Nothing here grows with the rows
-    # written, so holding the rows (36 MB) breaks the bound.
+    # Clean responses are held as float32, one row per job.
+    clean = len(plan.jobs) * n_samples * np.dtype("<f4").itemsize
+    # Each pool worker holds its chunk's clean response widened to
+    # float64, its chunk buffers (4 noisy rows, their complex spectrum
+    # and their magnitudes in the stored row dtype: 3.0 MB) and about
+    # 2 MB of rfft working copies and allocator arena; the fixed 8 MB
+    # holds the modal filter's block buffers, the labels and the thread
+    # pool's imports.  Nothing here grows with the rows written, so
+    # holding the rows (90 MB) or float64 clean responses (25 MB more)
+    # breaks the bound.
     row_item = vcas.pipeline.ROWS_DTYPE.itemsize
-    chunk_buffers = 4 * (n_samples * 8 + plan.n_bins * (16 + row_item))
+    chunk_buffers = n_samples * 8 + 4 * (n_samples * 8 + plan.n_bins * (16 + row_item))
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:
@@ -749,8 +757,8 @@ def test_synth_data_failing_in_a_worker_keeps_the_old_datasets(
     assert len(before) == 3
     real_response = vcas.pipeline.modal_response
 
-    def response_with_a_nan(plants, excitation):
-        out = real_response(plants, excitation)
+    def response_with_a_nan(plants, excitation, out):
+        out = real_response(plants, excitation, out)
         out[-1, 100] = np.nan
         return out
 
@@ -1039,6 +1047,19 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, probe):
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert str(path) in err
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("snr", ["NaN", "-Infinity", '"abc"'])
+def test_a_malformed_preset_exits_2_with_one_error_line(tmp_path, capsys, snr):
+    preset = json.loads(default_preset_path("grasp").read_text())
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps({**preset, "noise_snr_db": "@"}).replace('"@"', snr))
+    capsys.readouterr()
+    argv = ["synth-data", "--task", "grasp", *TINY_GRASP, "--set", f"preset={path}"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: preset {path}"), err
+    assert not (tmp_path / "grasp").exists()
 
 
 def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):

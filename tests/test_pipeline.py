@@ -212,6 +212,8 @@ def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
     clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
     want = {"train": ([], [], []), "test": ([], [], [])}
     for (role, plant, target, sid, seeds), c in zip(jobs, clean):
+        # Clean responses are held as float32: rounded once, then widened.
+        c = c.astype(np.float32).astype(np.float64)
         std = noise_std_for_snr(c, plant.noise_snr_db)
         for s in seeds:
             noisy = c + np.random.default_rng(int(s)).normal(0.0, std, c.size)
@@ -275,8 +277,8 @@ def test_synthesis_is_the_same_with_one_worker_or_four(monkeypatch):
 def test_non_finite_noisy_chunk_in_a_worker_raises_parameter_error(monkeypatch):
     real_response = vcas.pipeline.modal_response
 
-    def response_with_a_nan(plants, excitation):
-        out = real_response(plants, excitation)
+    def response_with_a_nan(plants, excitation, out):
+        out = real_response(plants, excitation, out)
         out[-1, 100] = np.nan
         return out
 

@@ -83,6 +83,36 @@ def test_load_preset_diagnostics(tmp_path):
     bad.write_text(json.dumps({"task": "weights"}))
     with pytest.raises(DataError, match="task"):
         load_preset(bad)
+    bad.write_text("[1, 2]")
+    with pytest.raises(DataError, match="JSON object"):
+        load_preset(bad)
+    grasp = json.loads(default_preset_path("grasp").read_text())
+    pose = json.loads(default_preset_path("pose").read_text())
+    contact = json.loads(default_preset_path("contact").read_text())
+    # Values json.dumps cannot write are spliced in as JSON text.
+    malformed = [
+        (grasp, "noise_snr_db", '"abc"', "must be a number"),
+        (grasp, "noise_snr_db", "[1]", "must be a number"),
+        (grasp, "noise_snr_db", '{"a": 1}', "must be a number"),
+        (grasp, "noise_snr_db", "true", "must be a number"),
+        (grasp, "noise_snr_db", "NaN", "finite or Infinity"),
+        (grasp, "noise_snr_db", "-Infinity", "finite or Infinity"),
+        (pose, "train_angles", '["x", 1]', r"train_angles\[0\] must be a number"),
+        (pose, "train_angles", "[0, NaN]", "train_angles must be finite"),
+        (pose, "train_angles", "7", "train_angles must be a list"),
+        (pose, "freq_slope_hz_per_deg", "[null]", r"slope_hz_per_deg\[0\] must be"),
+        (contact, "pose_freq_slope_hz_per_deg", '[[1, "a"]]', r"deg\[0\]\[1\] must be"),
+    ]
+    for raw, key, value, message in malformed:
+        bad.write_text(json.dumps({**raw, key: "@"}).replace('"@"', value))
+        with pytest.raises(DataError, match=message):
+            load_preset(bad)
+    # Infinity, null or no key at all is a noise-free preset.
+    for value in ("Infinity", "null"):
+        bad.write_text(json.dumps({**grasp, "noise_snr_db": "@"}).replace('"@"', value))
+        assert load_preset(bad).noise_snr_db == math.inf
+    bad.write_text(json.dumps({k: v for k, v in grasp.items() if k != "noise_snr_db"}))
+    assert load_preset(bad).noise_snr_db == math.inf
 
 
 def test_class_preset_needs_two_classes(tmp_path):

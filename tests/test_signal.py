@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,64 @@ def test_batched_rows_equal_single_plant_calls():
     one = modal_response([_BATCH[0]], x)
     assert one.shape == (1, len(x))
     assert one[0].tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "plants",
+    [_BATCH[0], _BATCH[:1], _BATCH],
+    ids=["one plant", "batch of one", "padded modes"],
+)
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_modal_response_out_receives_the_float64_response_rounded_once(plants, dtype):
+    # The mode recursion and the mode sum stay float64; a float32 `out`
+    # takes each float64 sample rounded once, as .astype does.
+    x = _short_chirp()
+    want = modal_response(plants, x).astype(dtype)
+    out = np.full(want.shape, np.nan, dtype=dtype)
+    assert modal_response(plants, x, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "plants, out",
+    [
+        (_BATCH, np.empty((len(_BATCH), 299))),
+        (_BATCH, np.empty((len(_BATCH) + 1, 300))),
+        (_BATCH, np.empty(300)),
+        (_BATCH[0], np.empty((1, 300))),
+        (_BATCH, np.empty((len(_BATCH), 300), dtype=np.float16)),
+        (_BATCH, np.empty((len(_BATCH), 300), dtype=">f8")),
+        (_BATCH, np.empty((len(_BATCH), 300), dtype=np.complex128)),
+        (_BATCH, np.zeros((len(_BATCH), 300)).tolist()),
+    ],
+    ids=["short", "extra row", "1-D", "2-D for one plant", "f2", "big-endian f8", "c16",
+         "list"],
+)
+def test_modal_response_rejects_an_out_of_the_wrong_shape_or_dtype(plants, out):
+    with pytest.raises(ParameterError, match="out must be"):
+        modal_response(plants, _short_chirp(), out=out)
+
+
+def test_noise_on_a_widened_float32_response_equals_the_float64_reference():
+    # synth-data holds clean responses as float32 and widens each before
+    # its noise: the std and the noisy rows are those of the rounded
+    # response made in float64, bit for bit.
+    x = generate_chirp(default_chirp_spec())
+    stored = modal_response(_BATCH, x, out=np.empty((len(_BATCH), len(x)), "<f4"))
+    seeds = np.array([4, 9, 10], dtype=np.uint32)
+    for clean32, clean in zip(stored, modal_response(_BATCH, x)):
+        wide = clean32.astype(np.float64)
+        rounded = clean.astype(np.float32).astype(np.float64)
+        assert wide.tobytes() == rounded.tobytes()
+        std = noise_std_for_snr(wide, 30.0)
+        assert std == math.sqrt(float(np.mean(rounded * rounded)) * 10.0 ** -3.0)
+        got = apply_noise(wide, 30.0, seeds)
+        for row, s in zip(got, seeds):
+            want = rounded + np.random.default_rng(int(s)).normal(0.0, std, x.samples.size)
+            assert row.tobytes() == want.tobytes()
+        # The rounding is far below the noise it is buried in.
+        assert np.abs(wide - clean).max() <= 2.0**-24 * np.abs(clean).max()
+        assert std > 1e4 * np.abs(wide - clean).max()
 
 
 @pytest.mark.parametrize("freq", [22050.0, 23000.0])
