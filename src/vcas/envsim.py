@@ -252,10 +252,6 @@ class Episode:
     def length(self) -> int:
         return len(self.steps)
 
-    @property
-    def final_pose(self) -> PoseState:
-        return self.steps[-1].next_pose if self.steps else self.start
-
 
 def start_pose_sampler(regime: str | PoseState, seed) -> PoseState:
     """Draw one start pose for the named regime.

@@ -65,14 +65,7 @@ from .learn import (
     eval_regressor,
     mlp_train,
 )
-from .signal import (
-    ModalPlant,
-    Waveform,
-    apply_noise,
-    default_chirp_spec,
-    generate_chirp,
-    modal_response,
-)
+from .signal import SAMPLE_RATE, ModalPlant, apply_noise, chirp, modal_response
 
 TASKS = plants.TASKS
 
@@ -339,13 +332,13 @@ class SynthPlan:
 
     task: str
     label_names: tuple[str, ...] | None
-    chirp: Waveform
+    chirp: np.ndarray
     jobs: list[_Job]
     labels: dict[DatasetKey, tuple[np.ndarray, np.ndarray]]
 
     @property
     def bin_hz(self) -> float:
-        return self.chirp.sample_rate / len(self.chirp)
+        return SAMPLE_RATE / len(self.chirp)
 
     @property
     def n_bins(self) -> int:
@@ -376,8 +369,7 @@ def plan_synthesis(cfg: RunConfig) -> SynthPlan:
         key: (np.concatenate(targets), np.concatenate(sessions))
         for key, (targets, sessions) in parts.items()
     }
-    chirp = generate_chirp(default_chirp_spec())
-    return SynthPlan(cfg.task, names, chirp, jobs, labels)
+    return SynthPlan(cfg.task, names, chirp(), jobs, labels)
 
 
 def synthesize(plan: SynthPlan, sinks: dict[DatasetKey, RowSink]) -> None:

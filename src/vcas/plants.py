@@ -93,15 +93,16 @@ Preset = ClassBankPreset | PosePreset | ContactPreset
 
 
 def _parse_modes(raw, where: str) -> Modes:
-    try:
-        modes = tuple((float(f), float(z), float(g)) for f, z, g in raw)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: modes must be [freq, damping, gain] triples") from exc
-    if not modes:
-        raise DataError(f"{where}: needs at least one mode")
-    for f, z, g in modes:
-        if not (f > 0 and 0 < z < 1 and g >= 0):
-            raise DataError(f"{where}: invalid mode ({f}, {z}, {g})")
+    """A non-empty list of finite [freq, damping, gain] triples."""
+    if not isinstance(raw, list) or not raw:
+        raise DataError(f"{where} must be a non-empty list of [freq, damping, gain]")
+    modes = tuple(_finite_numbers(m, f"{where}[{i}]") for i, m in enumerate(raw))
+    for i, mode in enumerate(modes):
+        if len(mode) != 3 or not (mode[0] > 0 and 0 < mode[1] < 1 and mode[2] >= 0):
+            raise DataError(
+                f"{where}[{i}]: invalid mode {list(mode)}, need "
+                "[freq > 0, 0 < damping < 1, gain >= 0]"
+            )
     return modes
 
 
@@ -160,13 +161,12 @@ def load_preset(source: str | Path) -> Preset:
         classes = raw.get("classes")
         if not isinstance(classes, dict) or len(classes) < 2:
             raise DataError(f"preset {path}: needs >= 2 classes")
-        return ClassBankPreset(
-            task,
-            snr,
-            {name: _parse_modes(m, f"class {name!r}") for name, m in classes.items()},
-        )
+        return ClassBankPreset(task, snr, {
+            name: _parse_modes(m, f"preset {path}: class {name!r}")
+            for name, m in classes.items()
+        })
     if task == "pose":
-        base = _parse_modes(raw.get("base_modes"), "base_modes")
+        base = _parse_modes(raw.get("base_modes"), f"preset {path}: base_modes")
         slopes, angles = (
             _finite_numbers(raw.get(key, []), f"preset {path}: {key}")
             for key in ("freq_slope_hz_per_deg", "train_angles")
@@ -177,7 +177,7 @@ def load_preset(source: str | Path) -> Preset:
             raise DataError(f"preset {path}: train_angles must be sorted and distinct")
         return PosePreset(task, snr, base, slopes, angles)
     if task == "contact":
-        base = _parse_modes(raw.get("base_modes"), "base_modes")
+        base = _parse_modes(raw.get("base_modes"), f"preset {path}: base_modes")
         pairs = raw.get("pose_freq_slope_hz_per_deg", [])
         where = f"preset {path}: pose_freq_slope_hz_per_deg"
         if not isinstance(pairs, list):

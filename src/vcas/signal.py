@@ -1,13 +1,12 @@
-"""Excitation sweeps and a modal-resonator plant.
+"""The excitation sweep and a modal-resonator plant.
 
 The plant stands in for a physical gripper/object system: each object
 configuration is modeled as a small bank of second-order resonant modes
-driven by the excitation sweep, plus additive white Gaussian noise at a
-configured SNR.  modal_response filters one plant or a whole batch of
-plants in one lockstep pass, in numpy alone, and can round its float64
-responses once into a float32 array.  Everything here is a pure
-function of its inputs (including the noise seed), so calls are safe
-from any thread.
+driven by the one fixed sweep, plus additive white Gaussian noise at a
+configured SNR.  modal_response filters a batch of plants in one
+lockstep pass, in numpy alone, and can round its float64 responses once
+into a float32 array.  Everything here is a pure function of its inputs
+(including the noise seeds), so calls are safe from any thread.
 """
 
 from __future__ import annotations
@@ -20,71 +19,21 @@ import numpy as np
 
 from .errors import ParameterError
 
-DEFAULT_SAMPLE_RATE = 44100.0
-DEFAULT_SWEEP_POINTS = 42000
+# The sweep: 20 Hz to 20 kHz over 1 s at 44.1 kHz, cut to its first
+# 42,000 samples (it ends near 19.05 kHz).
+SAMPLE_RATE = 44100.0
+SWEEP_F0 = 20.0
+SWEEP_F1 = 20000.0
+SWEEP_SECONDS = 1.0
+SWEEP_POINTS = 42000
 
 
-@dataclass(frozen=True)
-class Waveform:
-    """Uniformly sampled real signal (dimensionless amplitudes)."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ParameterError("waveform must be a non-empty 1-D sequence")
-        if not np.isfinite(samples).all():
-            raise ParameterError("waveform samples must be finite")
-        if not (self.sample_rate > 0):
-            raise ParameterError("sample_rate must be positive")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class ChirpSpec:
-    """Linear sweep from f0 to f1 over `duration` seconds."""
-
-    f0: float
-    f1: float
-    duration: float
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    truncate_to: int | None = None
-
-    def __post_init__(self):
-        if not (0 < self.f0 < self.f1 < self.sample_rate / 2):
-            raise ParameterError(
-                "need 0 < f0 < f1 < Nyquist, got "
-                f"f0={self.f0}, f1={self.f1}, fs={self.sample_rate}"
-            )
-        if not (self.duration > 0):
-            raise ParameterError("duration must be positive")
-        if self.truncate_to is not None:
-            n_full = int(round(self.duration * self.sample_rate))
-            if not (0 < self.truncate_to <= n_full):
-                raise ParameterError(
-                    f"truncate_to={self.truncate_to} outside (0, {n_full}]"
-                )
-
-    def instantaneous_frequency(self, t: float) -> float:
-        """Frequency of the sweep at time t: f0 + (f1 - f0) * t / T."""
-        return self.f0 + (self.f1 - self.f0) * t / self.duration
-
-
-def default_chirp_spec() -> ChirpSpec:
-    """The pipeline's standard excitation: 20 Hz to 20 kHz over 1 s,
-    sampled at 44.1 kHz and truncated to the first 42,000 points."""
-    return ChirpSpec(
-        f0=20.0,
-        f1=20000.0,
-        duration=1.0,
-        sample_rate=DEFAULT_SAMPLE_RATE,
-        truncate_to=DEFAULT_SWEEP_POINTS,
+def chirp() -> np.ndarray:
+    """The sweep's samples: sin(2*pi*(f0*t + (f1-f0)*t^2/(2T)))."""
+    t = np.arange(SWEEP_POINTS, dtype=np.float64) / SAMPLE_RATE
+    return np.sin(
+        2.0 * np.pi
+        * (SWEEP_F0 * t + (SWEEP_F1 - SWEEP_F0) * t * t / (2.0 * SWEEP_SECONDS))
     )
 
 
@@ -110,19 +59,6 @@ class ModalPlant:
             if not (g >= 0):
                 raise ParameterError(f"mode gain must be non-negative, got {g}")
         object.__setattr__(self, "modes", modes)
-
-
-def generate_chirp(spec: ChirpSpec) -> Waveform:
-    """Synthesize the linear sweep sin(2*pi*(f0*t + (f1-f0)*t^2/(2T)))."""
-    n_full = int(round(spec.duration * spec.sample_rate))
-    t = np.arange(n_full, dtype=np.float64) / spec.sample_rate
-    phase = 2.0 * np.pi * (
-        spec.f0 * t + (spec.f1 - spec.f0) * t * t / (2.0 * spec.duration)
-    )
-    samples = np.sin(phase)
-    if spec.truncate_to is not None:
-        samples = samples[: spec.truncate_to]
-    return Waveform(samples, spec.sample_rate)
 
 
 def _resonator_coeffs(
@@ -155,13 +91,13 @@ _BLOCK = 64
 
 
 def modal_response(
-    plants: ModalPlant | Sequence[ModalPlant],
-    excitation: Waveform,
+    plants: Sequence[ModalPlant],
+    excitation: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise-free plant output: the excitation through each mode, summed.
 
-    One plant gives a 1-D response; a sequence of plants gives one row
+    `excitation` is 1-D, sampled at SAMPLE_RATE; the result has one row
     per plant.  Every mode of every plant runs in lockstep through the
     direct-form-II-transposed recursion in lfilter's operation order,
     and modes are summed in order, so each row is bit-identical to
@@ -170,11 +106,10 @@ def modal_response(
     float64, shaped like the result); the arithmetic stays float64, and
     a float32 `out` receives each float64 sample rounded once.
     """
-    single = isinstance(plants, ModalPlant)
-    batch = (plants,) if single else tuple(plants)
+    batch = tuple(plants)
     if not batch:
         raise ParameterError("modal_response needs at least one plant")
-    shape = (len(excitation),) if single else (len(batch), len(excitation))
+    shape = (len(batch), len(excitation))
     if out is None:
         out = np.empty(shape)
     elif (
@@ -186,12 +121,12 @@ def modal_response(
             f"out must be a <f4 or <f8 array of shape {shape}, got "
             f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
         )
-    fs = excitation.sample_rate
+    nyquist = SAMPLE_RATE / 2
     for plant in batch:
         for f, _, _ in plant.modes:
-            if f >= fs / 2:
+            if f >= nyquist:
                 raise ParameterError(
-                    f"mode frequency {f} Hz is at or above Nyquist ({fs / 2} Hz)"
+                    f"mode frequency {f} Hz is at or above Nyquist ({nyquist} Hz)"
                 )
     # Coefficients as (tap, mode, plant).  Plants with fewer modes are
     # padded with b = a = 0 modes; their output is a zero, and a sum
@@ -201,7 +136,7 @@ def modal_response(
     a = np.zeros((3, n_modes, len(batch)))
     for j, plant in enumerate(batch):
         for m, mode in enumerate(plant.modes):
-            b[:, m, j], a[:, m, j] = _resonator_coeffs(*mode, fs)
+            b[:, m, j], a[:, m, j] = _resonator_coeffs(*mode, SAMPLE_RATE)
     # state[0:2] are the delays z0, z1; state[2] stays -0.0, the exact
     # additive identity, so one add forms (z1 + b1*x, b2*x) per sample.
     state = np.zeros((3, n_modes, len(batch)))
@@ -214,10 +149,8 @@ def modal_response(
     bx12 = np.empty((_BLOCK, 2, n_modes, len(batch)))
     y = np.empty((_BLOCK, n_modes, len(batch)))
     total = np.empty((_BLOCK, len(batch)))
-    rows = out[None] if single else out
-    x = excitation.samples
-    for start in range(0, x.size, _BLOCK):
-        xb = x[start : start + _BLOCK, None, None]
+    for start in range(0, len(excitation), _BLOCK):
+        xb = excitation[start : start + _BLOCK, None, None]
         n = xb.shape[0]
         np.multiply(b[0], xb, out=bx0[:n])
         np.multiply(b[1:], xb[:, None], out=bx12[:n])
@@ -231,7 +164,7 @@ def modal_response(
         total[:n] = 0.0
         for m in range(n_modes):
             total[:n] += y[:n, m]
-        rows[:, start : start + n] = total[:n].T
+        out[:, start : start + n] = total[:n].T
     return out
 
 
@@ -246,19 +179,18 @@ def noise_std_for_snr(clean: np.ndarray, snr_db: float) -> float:
 def apply_noise(
     clean: np.ndarray,
     snr_db: float,
-    seed: int | np.ndarray,
+    seeds: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`clean` plus white noise at `snr_db`, drawn from `default_rng(seed)`.
+    """One noisy copy of `clean` per seed, at `snr_db`.
 
-    One seed gives one noisy copy of `clean`.  A 1-D array of seeds gives
-    one row per seed, written into `out` (len(seeds) x clean.size) when
-    it is given.  The noise std is derived once per call; each row is
-    bit-identical to `clean + default_rng(s).normal(0, std, clean.size)`.
+    `seeds` is 1-D; the rows are written into `out` (len(seeds) x
+    clean.size) when it is given.  The noise std is
+    derived once per call; each row is bit-identical to
+    `clean + default_rng(s).normal(0, std, clean.size)`.
     """
-    seeds = np.atleast_1d(seed)
     if out is None:
-        out = np.empty((seeds.size, clean.size))
+        out = np.empty((len(seeds), clean.size))
     std = noise_std_for_snr(clean, snr_db)
     if std == 0.0:
         out[:] = clean
@@ -267,5 +199,5 @@ def apply_noise(
             np.random.default_rng(int(s)).standard_normal(out=row)
             row *= std
             row += clean
-    return out if np.ndim(seed) else out[0]
+    return out
 

@@ -37,10 +37,12 @@ from vcas.learn import TrainConfig, mlp_grad, mlp_init, mlp_loss
 from vcas.pipeline import RunConfig, eval_task, synth_task_data, train_task
 from vcas.policy import policy_eval, policy_train
 from vcas.signal import (
+    SAMPLE_RATE,
+    SWEEP_F0,
+    SWEEP_F1,
+    SWEEP_SECONDS,
     ModalPlant,
-    Waveform,
-    default_chirp_spec,
-    generate_chirp,
+    chirp,
     modal_response,
 )
 
@@ -178,23 +180,22 @@ def test_criterion_5_signal_invariants():
     rng = np.random.default_rng(7)
     worst_parseval = 0.0
     for n in (1024, 4410, 9999, 42000):
-        w = Waveform(rng.normal(size=n), 44100.0)
-        lhs = time_domain_energy(w.samples)
-        rhs = one_sided_energy(fft_magnitude(w.samples[None])[0], n)
+        samples = rng.normal(size=n)
+        lhs = time_domain_energy(samples)
+        rhs = one_sided_energy(fft_magnitude(samples[None])[0], n)
         worst_parseval = max(worst_parseval, abs(lhs - rhs) / lhs)
 
-    spec = default_chirp_spec()
-    chirp = generate_chirp(spec)
-    times, freqs = zero_crossing_frequencies(chirp.samples, chirp.sample_rate)
-    mask = (times >= 0.05 * spec.duration) & (times <= 0.95 * spec.duration)
-    law = spec.instantaneous_frequency(times[mask])
+    x = chirp()
+    times, freqs = zero_crossing_frequencies(x, SAMPLE_RATE)
+    mask = (times >= 0.05 * SWEEP_SECONDS) & (times <= 0.95 * SWEEP_SECONDS)
+    law = SWEEP_F0 + (SWEEP_F1 - SWEEP_F0) * times[mask] / SWEEP_SECONDS
     worst_sweep = float(np.max(np.abs(freqs[mask] - law) / law))
 
     worst_bins = 0.0
-    bin_hz = chirp.sample_rate / len(chirp)
+    bin_hz = SAMPLE_RATE / len(x)
     for freq in (200.0, 997.0, 4000.0, 9000.0, 12000.0, 16000.0):
         plant = ModalPlant(((freq, 0.01, 1.0),), np.inf)
-        spectrum = fft_magnitude(modal_response(plant, chirp)[None])[0]
+        spectrum = fft_magnitude(modal_response([plant], x))[0]
         peak_bin = int(np.argmax(spectrum))
         worst_bins = max(worst_bins, abs(peak_bin - freq / bin_hz))
 

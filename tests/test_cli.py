@@ -1049,11 +1049,23 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, probe):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("snr", ["NaN", "-Infinity", '"abc"'])
-def test_a_malformed_preset_exits_2_with_one_error_line(tmp_path, capsys, snr):
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("noise_snr_db", "NaN"),
+        ("noise_snr_db", "-Infinity"),
+        ("noise_snr_db", '"abc"'),
+        ("classes", '{"a": [["100", 0.01, 1]], "b": [[200, 0.01, 1]]}'),
+        ("classes", '{"a": [[100, true, 1]], "b": [[200, 0.01, 1]]}'),
+        ("classes", '{"a": [[100, 0.01, Infinity]], "b": [[200, 0.01, 1]]}'),
+    ],
+    ids=["NaN", "-Infinity", '"abc"', "mode freq string", "mode damping true",
+         "mode gain Infinity"],
+)
+def test_a_malformed_preset_exits_2_with_one_error_line(tmp_path, capsys, key, value):
     preset = json.loads(default_preset_path("grasp").read_text())
     path = tmp_path / "preset.json"
-    path.write_text(json.dumps({**preset, "noise_snr_db": "@"}).replace('"@"', snr))
+    path.write_text(json.dumps({**preset, key: "@"}).replace('"@"', value))
     capsys.readouterr()
     argv = ["synth-data", "--task", "grasp", *TINY_GRASP, "--set", f"preset={path}"]
     assert main([*argv, "--out", str(tmp_path)]) == 2

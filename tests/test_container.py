@@ -516,10 +516,13 @@ def _names_used(node) -> set[str]:
 
 
 def test_every_public_function_and_class_has_a_caller_in_the_package():
-    """No public top-level def or class exists for the tests alone.
+    """No public top-level def or class, method or property exists for
+    the tests alone.
 
-    A name counts as used when some top-level statement of `vcas` other
-    than its own definition names it; tests calling it do not count.
+    A top-level name counts as used when some top-level statement of
+    `vcas` other than its own definition names it.  A public method or
+    property of a public class counts as used when `vcas` reads it as an
+    attribute anywhere.  Tests calling either do not count.
     """
     src = Path(container.__file__).parent
     statements = [
@@ -534,6 +537,20 @@ def test_every_public_function_and_class_has_a_caller_in_the_package():
         for i, stmt in enumerate(statements)
         if isinstance(stmt, defs) and not stmt.name.startswith("_")
         and not any(stmt.name in names for j, names in enumerate(used) if j != i)
+    }
+    attributes = {
+        node.attr
+        for stmt in statements
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+    }
+    unused |= {
+        f"{stmt.name}.{item.name}"
+        for stmt in statements
+        if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")
+        for item in stmt.body
+        if isinstance(item, defs) and not item.name.startswith("_")
+        and item.name not in attributes
     }
     assert unused == _TEST_ONLY_API
 

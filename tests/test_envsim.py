@@ -261,7 +261,7 @@ def test_rollout_expert_identity_from_fixed_start():
     ep = rollout(expert_policy, PoseState(45.0, 45.0), IDENTITY, seed=0)
     assert ep.success
     assert ep.length == 20
-    assert ep.final_pose == PoseState(90.0, 90.0)
+    assert ep.steps[-1].next_pose == PoseState(90.0, 90.0)
     # theta_z aligns first, so the first ten actions all rotate z.
     assert all(s.action == Action.ROT_Z for s in ep.steps[:10])
     assert all(s.action == Action.ROT_X for s in ep.steps[10:])
@@ -271,7 +271,7 @@ def test_rollout_single_axis_policy_never_finishes():
     ep = rollout(always_rot_z, PoseState(45.0, 45.0), IDENTITY, seed=0)
     assert not ep.success
     assert ep.length == MAX_EPISODE_STEPS
-    assert ep.final_pose == PoseState(45.0, 90.0)
+    assert ep.steps[-1].next_pose == PoseState(45.0, 90.0)
 
 
 def test_rollout_goal_reached_on_final_step_counts():

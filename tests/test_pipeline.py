@@ -30,13 +30,7 @@ from vcas.pipeline import (
     write_dataset,
     write_json,
 )
-from vcas.signal import (
-    ModalPlant,
-    default_chirp_spec,
-    generate_chirp,
-    modal_response,
-    noise_std_for_snr,
-)
+from vcas.signal import ModalPlant, chirp, modal_response, noise_std_for_snr
 
 
 def tiny_grasp_config(seed=0, **overrides):
@@ -208,8 +202,7 @@ def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
     monkeypatch.setattr(vcas.pipeline, "_class_bank_jobs", _fixed_jobs)
     _, data = synth_task_data(RunConfig(task="grasp", conditions=("in_distribution",)))
     _, jobs = _fixed_jobs(None, None)
-    chirp = generate_chirp(default_chirp_spec())
-    clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp)
+    clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp())
     want = {"train": ([], [], []), "test": ([], [], [])}
     for (role, plant, target, sid, seeds), c in zip(jobs, clean):
         # Clean responses are held as float32: rounded once, then widened.

@@ -102,6 +102,14 @@ def test_load_preset_diagnostics(tmp_path):
         (pose, "train_angles", "7", "train_angles must be a list"),
         (pose, "freq_slope_hz_per_deg", "[null]", r"slope_hz_per_deg\[0\] must be"),
         (contact, "pose_freq_slope_hz_per_deg", '[[1, "a"]]', r"deg\[0\]\[1\] must be"),
+        (pose, "base_modes", '[["100", 0.01, 1]]', r"preset .*: base_modes\[0\]\[0\] must be a"),
+        (pose, "base_modes", "[[100, 0.01, true]]", r"preset .*: base_modes\[0\]\[2\] must be a"),
+        (pose, "base_modes", "[[100, 0.01]]", r"preset .*: base_modes\[0\]: invalid mode"),
+        (pose, "base_modes", "[]", "preset .*: base_modes must be a non-empty list"),
+        (
+            grasp, "classes", '{"a": [[100, 0.01, Infinity]], "b": [[200, 0.01, 1]]}',
+            r"preset .*: class 'a'\[0\] must be finite",
+        ),
     ]
     for raw, key, value, message in malformed:
         bad.write_text(json.dumps({**raw, key: "@"}).replace('"@"', value))

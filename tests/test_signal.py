@@ -14,79 +14,64 @@ from _oracles import (
 from vcas.errors import ParameterError
 from vcas.features import fft_magnitude
 from vcas.signal import (
-    ChirpSpec,
+    SAMPLE_RATE,
+    SWEEP_F0,
+    SWEEP_F1,
+    SWEEP_POINTS,
+    SWEEP_SECONDS,
     ModalPlant,
-    Waveform,
     apply_noise,
-    default_chirp_spec,
-    generate_chirp,
+    chirp,
     modal_response,
     noise_std_for_snr,
     _resonator_coeffs,
 )
 
 
+def _sweep_law(t):
+    """The sweep's instantaneous frequency at time t: f0 + (f1 - f0) t / T."""
+    return SWEEP_F0 + (SWEEP_F1 - SWEEP_F0) * t / SWEEP_SECONDS
+
+
 def test_default_chirp_spec_values():
-    spec = default_chirp_spec()
-    assert spec.f0 == 20.0
-    assert spec.f1 == 20000.0
-    assert spec.duration == 1.0
-    assert spec.sample_rate == 44100.0
-    assert spec.truncate_to == 42000
+    assert (SWEEP_F0, SWEEP_F1, SWEEP_SECONDS) == (20.0, 20000.0, 1.0)
+    assert (SAMPLE_RATE, SWEEP_POINTS) == (44100.0, 42000)
 
 
 def test_chirp_length_and_amplitude():
-    w = generate_chirp(default_chirp_spec())
-    assert len(w) == 42000
-    assert w.samples[0] == 0.0
-    assert np.max(np.abs(w.samples)) <= 1.0
+    x = chirp()
+    assert x.shape == (42000,) and x.dtype == np.float64
+    assert x[0] == 0.0
+    assert np.max(np.abs(x)) <= 1.0
 
 
 def test_chirp_final_instantaneous_frequency():
-    spec = default_chirp_spec()
-    t_end = (spec.truncate_to - 1) / spec.sample_rate
-    f_end = spec.instantaneous_frequency(t_end)
-    expected = spec.f0 + (spec.f1 - spec.f0) * t_end / spec.duration
-    assert f_end == pytest.approx(expected)
     # Truncation at 42000 samples ends the sweep just above 19 kHz.
-    assert abs(f_end - 19029.0) < 30.0
+    assert abs(_sweep_law((SWEEP_POINTS - 1) / SAMPLE_RATE) - 19029.0) < 30.0
 
 
 def test_chirp_zero_crossing_frequency_tracks_linear_law():
-    spec = default_chirp_spec()
-    w = generate_chirp(spec)
-    times, freqs = zero_crossing_frequencies(w.samples, spec.sample_rate)
-    lo, hi = 0.05 * spec.duration, 0.95 * spec.duration
+    times, freqs = zero_crossing_frequencies(chirp(), SAMPLE_RATE)
+    lo, hi = 0.05 * SWEEP_SECONDS, 0.95 * SWEEP_SECONDS
     keep = (times >= lo) & (times <= hi)
     assert keep.sum() > 300
-    expected = spec.f0 + (spec.f1 - spec.f0) * times[keep] / spec.duration
+    expected = _sweep_law(times[keep])
     rel = np.abs(freqs[keep] - expected) / expected
     assert float(rel.max()) < 0.01
 
 
 def test_chirp_determinism():
-    a = generate_chirp(default_chirp_spec())
-    b = generate_chirp(default_chirp_spec())
-    assert a.samples.tobytes() == b.samples.tobytes()
-
-
-def test_chirp_spec_validation():
-    with pytest.raises(ParameterError):
-        ChirpSpec(f0=-1.0, f1=100.0, duration=1.0)
-    with pytest.raises(ParameterError):
-        ChirpSpec(f0=20.0, f1=30000.0, duration=1.0, sample_rate=44100.0)
-    with pytest.raises(ParameterError):
-        ChirpSpec(f0=20.0, f1=200.0, duration=1.0, sample_rate=1000.0, truncate_to=2000)
+    assert chirp().tobytes() == chirp().tobytes()
 
 
 def _single_mode_plant(freq, zeta=0.01, gain=1.0):
     return ModalPlant(modes=((freq, zeta, gain),), noise_snr_db=np.inf)
 
 
-def _received(plant, chirp, seed):
+def _received(plant, x, seed):
     """The received waveform: the plant's response plus its seeded noise."""
-    clean = modal_response(plant, chirp)
-    return Waveform(apply_noise(clean, plant.noise_snr_db, seed), chirp.sample_rate)
+    clean = modal_response([plant], x)[0]
+    return apply_noise(clean, plant.noise_snr_db, np.array([seed]))[0]
 
 
 # Modes must sit inside the swept band with margin: the sweep ends near
@@ -95,27 +80,24 @@ def _received(plant, chirp, seed):
 @pytest.mark.parametrize("freq", [200.0, 997.0, 4000.0, 9000.0, 12000.0, 16000.0])
 @pytest.mark.parametrize("zeta", [0.005, 0.01, 0.02])
 def test_single_mode_spectral_peak_within_two_bins(freq, zeta):
-    chirp = generate_chirp(default_chirp_spec())
-    w = _received(_single_mode_plant(freq, zeta=zeta), chirp, seed=0)
-    peak_bin = int(np.argmax(fft_magnitude(w.samples[None])[0]))
-    want_bin = freq / (w.sample_rate / len(w))
+    w = _received(_single_mode_plant(freq, zeta=zeta), chirp(), seed=0)
+    peak_bin = int(np.argmax(fft_magnitude(w[None])[0]))
+    want_bin = freq / (SAMPLE_RATE / len(w))
     assert abs(peak_bin - want_bin) <= 2.0
 
 
 def test_modal_response_linearity_at_infinite_snr():
-    chirp = generate_chirp(default_chirp_spec())
+    x = chirp()
     plant = ModalPlant(modes=((800.0, 0.02, 1.0), (5000.0, 0.01, 0.4)), noise_snr_db=np.inf)
-    base = modal_response(plant, chirp)
-    scaled_input = Waveform(3.0 * chirp.samples, chirp.sample_rate)
-    scaled = modal_response(plant, scaled_input)
+    base = modal_response([plant], x)
+    scaled = modal_response([plant], 3.0 * x)
     rel = np.abs(scaled - 3.0 * base) / (np.abs(3.0 * base).max())
     assert float(rel.max()) < 1e-9
 
 
 def test_mode_frequency_must_be_below_nyquist():
-    chirp = generate_chirp(default_chirp_spec())
     with pytest.raises(ParameterError):
-        modal_response(_single_mode_plant(23000.0), chirp)
+        modal_response([_single_mode_plant(23000.0)], chirp())
 
 
 # Plants with different mode counts, one with a zero-gain mode.
@@ -128,15 +110,14 @@ _BATCH = (
 
 def _short_chirp(n=300):
     # Longer than one filter block, with a partial last block.
-    chirp = generate_chirp(default_chirp_spec())
-    return Waveform(chirp.samples[:n], chirp.sample_rate)
+    return chirp()[:n]
 
 
 def _oracle_response(plant, excitation):
     out = np.zeros(len(excitation))
     for f, z, g in plant.modes:
-        b, a = _resonator_coeffs(f, z, g, excitation.sample_rate)
-        out += df2t_second_order(b, a, excitation.samples)
+        b, a = _resonator_coeffs(f, z, g, SAMPLE_RATE)
+        out += df2t_second_order(b, a, excitation)
     return out
 
 
@@ -149,21 +130,19 @@ def test_batched_modal_response_matches_df2t_oracle_bitwise():
 
 
 def test_batched_rows_equal_single_plant_calls():
+    # A single plant is a batch of one.
     x = _short_chirp()
     got = modal_response(_BATCH, x)
     for row, plant in zip(got, _BATCH):
-        single = modal_response(plant, x)
-        assert single.shape == (len(x),)
-        assert row.tobytes() == single.tobytes()
-    one = modal_response([_BATCH[0]], x)
-    assert one.shape == (1, len(x))
-    assert one[0].tobytes() == got[0].tobytes()
+        one = modal_response([plant], x)
+        assert one.shape == (1, len(x))
+        assert one[0].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize(
     "plants",
-    [_BATCH[0], _BATCH[:1], _BATCH],
-    ids=["one plant", "batch of one", "padded modes"],
+    [_BATCH[:1], _BATCH],
+    ids=["batch of one", "padded modes"],
 )
 @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
 def test_modal_response_out_receives_the_float64_response_rounded_once(plants, dtype):
@@ -182,14 +161,14 @@ def test_modal_response_out_receives_the_float64_response_rounded_once(plants, d
         (_BATCH, np.empty((len(_BATCH), 299))),
         (_BATCH, np.empty((len(_BATCH) + 1, 300))),
         (_BATCH, np.empty(300)),
-        (_BATCH[0], np.empty((1, 300))),
+        (_BATCH[:1], np.empty(300)),
         (_BATCH, np.empty((len(_BATCH), 300), dtype=np.float16)),
         (_BATCH, np.empty((len(_BATCH), 300), dtype=">f8")),
         (_BATCH, np.empty((len(_BATCH), 300), dtype=np.complex128)),
         (_BATCH, np.zeros((len(_BATCH), 300)).tolist()),
     ],
-    ids=["short", "extra row", "1-D", "2-D for one plant", "f2", "big-endian f8", "c16",
-         "list"],
+    ids=["short", "extra row", "1-D", "1-D for a batch of one", "f2", "big-endian f8",
+         "c16", "list"],
 )
 def test_modal_response_rejects_an_out_of_the_wrong_shape_or_dtype(plants, out):
     with pytest.raises(ParameterError, match="out must be"):
@@ -200,7 +179,7 @@ def test_noise_on_a_widened_float32_response_equals_the_float64_reference():
     # synth-data holds clean responses as float32 and widens each before
     # its noise: the std and the noisy rows are those of the rounded
     # response made in float64, bit for bit.
-    x = generate_chirp(default_chirp_spec())
+    x = chirp()
     stored = modal_response(_BATCH, x, out=np.empty((len(_BATCH), len(x)), "<f4"))
     seeds = np.array([4, 9, 10], dtype=np.uint32)
     for clean32, clean in zip(stored, modal_response(_BATCH, x)):
@@ -211,7 +190,7 @@ def test_noise_on_a_widened_float32_response_equals_the_float64_reference():
         assert std == math.sqrt(float(np.mean(rounded * rounded)) * 10.0 ** -3.0)
         got = apply_noise(wide, 30.0, seeds)
         for row, s in zip(got, seeds):
-            want = rounded + np.random.default_rng(int(s)).normal(0.0, std, x.samples.size)
+            want = rounded + np.random.default_rng(int(s)).normal(0.0, std, x.size)
             assert row.tobytes() == want.tobytes()
         # The rounding is far below the noise it is buried in.
         assert np.abs(wide - clean).max() <= 2.0**-24 * np.abs(clean).max()
@@ -231,13 +210,13 @@ def test_empty_batch_rejected():
 
 def test_modal_response_agrees_with_scipy_lfilter():
     lfilter = pytest.importorskip("scipy.signal").lfilter
-    chirp = generate_chirp(default_chirp_spec())
-    got = modal_response(_BATCH, chirp)
+    x = chirp()
+    got = modal_response(_BATCH, x)
     for row, plant in zip(got, _BATCH):
-        want = np.zeros(len(chirp))
+        want = np.zeros(len(x))
         for f, z, g in plant.modes:
-            b, a = _resonator_coeffs(f, z, g, chirp.sample_rate)
-            want += lfilter(b, a, chirp.samples)
+            b, a = _resonator_coeffs(f, z, g, SAMPLE_RATE)
+            want += lfilter(b, a, x)
         np.testing.assert_allclose(
             row, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
         )
@@ -255,7 +234,7 @@ def test_degenerate_mode_parameters_rejected():
 def test_noise_matches_requested_snr():
     rng = np.random.default_rng(5)
     clean = rng.normal(size=44100)
-    noisy = apply_noise(clean, 10.0, seed=3)
+    noisy = apply_noise(clean, 10.0, np.array([3]))[0]
     noise = noisy - clean
     measured = 10.0 * np.log10(np.mean(clean**2) / np.mean(noise**2))
     assert abs(measured - 10.0) < 0.5
@@ -270,16 +249,16 @@ def test_noise_std_formula():
 
 def test_apply_noise_infinite_snr_is_identity_copy():
     clean = np.linspace(-1, 1, 100)
-    out = apply_noise(clean, np.inf, seed=0)
-    assert np.array_equal(out, clean)
-    assert out is not clean
+    out = apply_noise(clean, np.inf, np.array([0]))
+    assert np.array_equal(out, clean[None])
+    assert not np.shares_memory(out, clean)
 
 
 def test_apply_noise_seeded_determinism():
     clean = np.linspace(-1, 1, 1000)
-    a = apply_noise(clean, 20.0, seed=9)
-    b = apply_noise(clean, 20.0, seed=9)
-    c = apply_noise(clean, 20.0, seed=10)
+    a = apply_noise(clean, 20.0, np.array([9]))
+    b = apply_noise(clean, 20.0, np.array([9]))
+    c = apply_noise(clean, 20.0, np.array([10]))
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -293,17 +272,14 @@ def test_apply_noise_writes_one_row_per_seed():
     for row, s in zip(out, seeds):
         want = clean + np.random.default_rng(int(s)).normal(0.0, std, clean.size)
         assert row.tobytes() == want.tobytes()
-        assert row.tobytes() == apply_noise(clean, 20.0, int(s)).tobytes()
     assert np.array_equal(apply_noise(clean, np.inf, seeds), np.tile(clean, (3, 1)))
 
 
 def test_synth_response_identical_for_same_seed():
-    chirp = generate_chirp(default_chirp_spec())
     plant = ModalPlant(modes=((800.0, 0.02, 1.0),), noise_snr_db=30.0)
-    a = _received(plant, chirp, seed=4)
-    b = _received(plant, chirp, seed=4)
-    assert a.samples.tobytes() == b.samples.tobytes()
-    assert a.sample_rate == chirp.sample_rate
+    a = _received(plant, chirp(), seed=4)
+    b = _received(plant, chirp(), seed=4)
+    assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -315,11 +291,3 @@ def test_parseval_identity_random_waveforms(seed, n):
     rhs = one_sided_energy(fft_magnitude(samples[None])[0], n)
     assert abs(lhs - rhs) / lhs < 1e-6
 
-
-def test_waveform_validation():
-    with pytest.raises(ParameterError):
-        Waveform(np.array([]), 44100.0)
-    with pytest.raises(ParameterError):
-        Waveform(np.array([np.nan]), 44100.0)
-    with pytest.raises(ParameterError):
-        Waveform(np.zeros(10), -1.0)
