@@ -23,7 +23,7 @@ from typing import Callable, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .container import atomic_write, read_text
+from .container import atomic_write, built_from, read_text
 from .envsim import (
     MAX_EPISODE_STEPS,
     OBS_ACCURACY,
@@ -74,7 +74,6 @@ from .pipeline import read_dataset, synth_task_data, write_dataset  # noqa: F401
 from .policy import (
     PolicyMode,
     as_rollout_policy,
-    eval_report_to_dict,
     load_policy,
     policy_eval,
     policy_train,
@@ -304,13 +303,13 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     mdir = Path(out_dir) / cfg.task / "models"
     kpca_path = mdir / f"kpca_{cfg.band}.vcas"
     with read_dataset_lazily(train_path) as (train_ds, meta):
-        models = train_task(train_ds, float(meta["bin_hz"]), cfg, kpca_path)
+        models = train_task(train_ds, meta["bin_hz"], cfg, kpca_path)
     history = history_to_dict(models.history)
     history.update(
         {
             "task": cfg.task,
             "band": cfg.band,
-            "n_components": models.n_components,
+            "n_components": models.kpca.n_components,
             "evr_cumulative": list(
                 np.cumsum(models.kpca.explained_variance_ratio)
             ),
@@ -356,7 +355,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         models = TaskModels(
             cfg.task, cfg.band, kpca, mlp, tuple(kpca_meta["train_sessions"])
         )
-        for cond in sorted(cfg.conditions_resolved):
+        for cond in sorted(cfg.conditions):
             test_path = dataset_path(out_dir, cfg.task, cond, "test")
             if not test_path.exists():
                 if cond == "in_distribution":
@@ -365,9 +364,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
                     )
                 continue
             with read_dataset_lazily(test_path) as (test, meta):
-                row, reports[cond] = eval_task(
-                    models, cond, test, float(meta["bin_hz"])
-                )
+                row, reports[cond] = eval_task(models, cond, test, meta["bin_hz"])
             rows.append(row)
 
     edir = Path(out_dir) / cfg.task / "eval"
@@ -399,7 +396,10 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
         demos_path = Path(options.demos or sim_dir / "demos.jsonl")
         if not demos_path.exists():
             raise DataError(f"no demo set at {demos_path}; run sim demos first")
-        model, history = policy_train(read_demos(demos_path), options.train)
+        try:
+            model, history = policy_train(read_demos(demos_path), options.train)
+        except ParameterError as exc:  # its settings were checked on parsing
+            raise DataError(f"{demos_path}: {exc}") from exc
         history_payload = history_to_dict(history)
         history_payload["window_length"] = model.window_length
         return [
@@ -410,7 +410,7 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
         policy_path = Path(options.policy or sim_dir / "policy.vcas")
         if not policy_path.exists():
             raise DataError(f"no policy at {policy_path}; run train-policy first")
-        report = policy_eval(
+        payload = policy_eval(
             load_policy(policy_path),
             options.regime,
             options.episodes,
@@ -418,8 +418,7 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
             options.seed,
             mode=options.mode,
         )
-        path = sim_dir / f"eval_{options.regime}.json"
-        return [write_json(eval_report_to_dict(report), path)]
+        return [write_json(payload, sim_dir / f"eval_{options.regime}.json")]
     if subcommand == "rollout":
         if options.policy == "expert":
             policy_fn, window_length = expert_policy, WINDOW_LENGTH
@@ -510,17 +509,10 @@ def cmd_report(paths: list[str | Path], out_dir: str | Path) -> list[Path]:
         raise ParameterError("report needs at least one metrics file")
     rows: list[dict] = []
     for p in paths:
-        try:
-            payload = json.loads(read_text(p))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"unreadable metrics file {p}: {exc}") from exc
-        # A JSON file of the wrong shape is unusable data, not a crash.
-        try:
-            rows.extend(_report_rows_from_payload(payload, str(p)))
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise DataError(
-                f"malformed metrics payload in {p}: {type(exc).__name__} {exc}"
-            ) from exc
+        # A file that is not JSON, or JSON of the wrong shape, is unusable
+        # data, not a crash.
+        with built_from(p):
+            rows.extend(_report_rows_from_payload(json.loads(read_text(p)), str(p)))
     rows.sort(
         key=lambda r: (
             str(r["task"]),

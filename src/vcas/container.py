@@ -34,7 +34,8 @@ it.
 
 This module owns every file vcas writes or reads: each artifact goes
 through `atomic_write` (a temporary file renamed into place) and each
-text input through `read_text`; a failed write or read is a DataError.
+text input through `read_text`; a failed write or read is a DataError,
+as is an object that a loader builds from malformed contents (`built_from`).
 """
 
 from __future__ import annotations
@@ -104,6 +105,23 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def built_from(path) -> Iterator[None]:
+    """Build objects from `path`'s contents: a missing key, a value of the
+    wrong type or a failed check (ParameterError) is a DataError naming it."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {path}: {type(exc).__name__} {exc}") from exc
+
+
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer: a float or a boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _layout(

@@ -18,7 +18,7 @@ from typing import Callable, Literal, Sequence, get_args
 
 import numpy as np
 
-from .container import atomic_write, read_text
+from .container import atomic_write, built_from, json_int, read_text
 from .errors import DataError, ParameterError
 
 GRID_STEP = 4.5
@@ -176,42 +176,26 @@ def sample_observation(
 
 
 def observation_model_from_csv(path: str | Path) -> ObservationModel:
-    """Load a 3x3 channel from CSV, with or without a label header.
+    """Load a 3x3 channel from the labelled CSV that `eval` writes.
 
-    Named rows may appear in any order; headerless files are taken to
-    be in (diagonal, line, in_hole) order already.
+    The first line is `true_label,` then the observed labels; each
+    further line is a true label, then its probabilities.  Rows and
+    columns may appear in any order.
     """
     lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
-    rows: dict[str, list[float]] = {}
-    try:
-        if lines[0].split(",")[0] == "true_label":
-            for ln in lines[1:]:
-                cells = ln.split(",")
-                rows[cells[0]] = [float(c) for c in cells[1:]]
-            header = lines[0].split(",")[1:]
-            matrix = np.array(
-                [
-                    [rows[t][header.index(o)] for o in CONTACT_LABELS]
-                    for t in CONTACT_LABELS
-                ]
-            )
-        else:
-            matrix = np.array([[float(c) for c in ln.split(",")] for ln in lines])
-    except (ValueError, KeyError, IndexError) as exc:
-        raise DataError(f"malformed observation model in {path}: {exc}") from exc
-    try:
+    head, *body = (ln.split(",") for ln in lines)
+    if head[0] != "true_label":
+        raise DataError(f"{path}: the first line must be the true_label header")
+    with built_from(path):
+        rows = {cells[0]: cells for cells in body}
+        cols = [head.index(o) for o in CONTACT_LABELS]
+        matrix = np.array([[float(rows[t][c]) for c in cols] for t in CONTACT_LABELS])
         return ObservationModel(matrix)
-    except ParameterError as exc:
-        raise DataError(f"invalid observation model in {path}: {exc}") from exc
 
 
 Window = tuple  # length-n tuple of ContactType | None, oldest first
-
-
-def blank_window(window_length: int = WINDOW_LENGTH) -> Window:
-    return (None,) * window_length
 
 
 @dataclass(frozen=True)
@@ -253,16 +237,13 @@ class Episode:
         return len(self.steps)
 
 
-def start_pose_sampler(regime: str | PoseState, seed) -> PoseState:
+def start_pose_sampler(regime: str, seed) -> PoseState:
     """Draw one start pose for the named regime.
 
     fixed -> (45, 45); interpolated -> theta_x=45, theta_z uniform on
     the grid [45, 90]; out_of_distribution -> theta_x uniform on the
-    grid [40.5, 81], theta_z uniform on the grid [9, 90].  A PoseState
-    acts as a point distribution on that pose.
+    grid [40.5, 81], theta_z uniform on the grid [9, 90].
     """
-    if isinstance(regime, PoseState):
-        return regime
     if regime not in START_REGIMES:
         raise ParameterError(f"unknown start regime {regime!r}; use {START_REGIMES}")
     rng = np.random.default_rng(seed)
@@ -287,7 +268,7 @@ def expert_policy(pose: PoseState, window: Window, rng) -> Action | None:
 
 def generate_demos(
     n_episodes: int,
-    start_distribution: str | PoseState,
+    start_distribution: str,
     m: ObservationModel,
     seed: int,
     window_length: int = WINDOW_LENGTH,
@@ -306,7 +287,7 @@ def generate_demos(
     for child in np.random.SeedSequence(seed).spawn(n_episodes):
         rng = np.random.default_rng(child)
         pose = start_pose_sampler(start_distribution, rng)
-        window = deque(blank_window(window_length), maxlen=window_length)
+        window = deque([None] * window_length, maxlen=window_length)
         while True:
             action = expert_action(pose)
             if action is None:
@@ -339,7 +320,7 @@ def rollout(
         raise ParameterError("window_length must be >= 1")
     rng = np.random.default_rng(seed)
     pose = start
-    window = deque(blank_window(window_length), maxlen=window_length)
+    window = deque([None] * window_length, maxlen=window_length)
     steps: list[EpisodeStep] = []
     success = False
     for _ in range(max_steps):
@@ -389,16 +370,21 @@ def write_demos(demos: Sequence[DemoPair], path: str | Path) -> Path:
 
 
 def read_demos(path: str | Path) -> list[DemoPair]:
+    """One pair per JSON line: integer tokens and action, pads (null) first,
+    every window as long as the first.  A fault names the file and line."""
     demos = []
     for i, line in enumerate(read_text(path).splitlines()):
         if not line.strip():
             continue
-        try:
+        with built_from(f"{path}:{i + 1}"):
             rec = json.loads(line)
             window = tuple(
-                None if t is None else ContactType(t) for t in rec["window"]
+                None if t is None else ContactType(json_int(t, "a token"))
+                for t in rec["window"]
             )
-            demos.append(DemoPair(window, Action(rec["action"])))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{path}:{i + 1}: malformed demo: {exc}") from exc
+            if None in window[window.count(None) :]:
+                raise ValueError("a pad follows an observation")
+            if demos and len(window) != len(demos[0].window):
+                raise ValueError(f"window length {len(window)} is not the first's")
+            demos.append(DemoPair(window, Action(json_int(rec["action"], "action"))))
     return demos

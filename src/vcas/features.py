@@ -22,6 +22,8 @@ from .container import (
     DiskMatrix,
     PayloadKind,
     atomic_write,
+    built_from,
+    json_int,
     open_container,
     read_container,  # noqa: F401  perfbench's tracer looks it up (ROADMAP item 3)
     read_container_lazily,
@@ -240,7 +242,7 @@ def kpca_fit(rows: np.ndarray, n_components: int) -> KernelPcaModel:
 def kpca_transform(
     model: KernelPcaModel, rows: np.ndarray | DiskMatrix
 ) -> np.ndarray:
-    """Project one row (1-D) or a matrix of rows into component space.
+    """Project a matrix of rows into component space.
 
     Equal to centering each row's cosine-kernel row against the
     training set and multiplying by the scaled eigenvectors, folded
@@ -252,13 +254,9 @@ def kpca_transform(
     a file give the same bits and no bins-sized array is held.  `rows`
     is only read.
     """
-    single = len(np.shape(rows)) == 1
-    if not isinstance(rows, DiskMatrix):
-        rows = np.asarray(rows, dtype=np.float64)
-        rows = rows[None, :] if single else rows
     shape = np.shape(rows)
     if len(shape) != 2 or shape[1] == 0:
-        raise ParameterError("rows must be a row vector or matrix of rows")
+        raise ParameterError("rows must be a matrix of rows")
     if shape[1] != model.n_bins:
         raise ParameterError(
             f"row length {shape[1]} does not match training length {model.n_bins}"
@@ -276,7 +274,7 @@ def kpca_transform(
         del block, projection  # before the next block is read
     out /= _row_norms(squares, "rows")[:, None]
     out += model.offset
-    return out[0] if single else out
+    return out
 
 
 def write_evr_csv(model: KernelPcaModel, path: str | Path) -> Path:
@@ -341,10 +339,19 @@ def load_kpca(path: str | Path) -> Iterator[tuple[KernelPcaModel, dict]]:
                 f"{path} holds a kernel-form kPCA model without a projection "
                 "and offset; rerun train to refit it"
             )
-        model = KernelPcaModel(
-            projection=arrays["projection"],
-            offset=arrays["offset"],
-            eigenvalues=arrays["eigenvalues"],
-            explained_variance_ratio=arrays["explained_variance_ratio"],
-        )
+        with built_from(path):
+            model = KernelPcaModel(
+                projection=arrays["projection"],
+                offset=arrays["offset"],
+                eigenvalues=arrays["eigenvalues"],
+                explained_variance_ratio=arrays["explained_variance_ratio"],
+            )
+            names = ("offset", "eigenvalues", "explained_variance_ratio")
+            if any(arrays[n].shape != model.projection.shape[1:] for n in names):
+                raise ValueError(f"{', '.join(names)} must each hold one per component")
+            sessions = meta.get("train_sessions", [])
+            if not isinstance(sessions, list):
+                raise ValueError(f"train_sessions must be a list, got {sessions!r}")
+            for session in sessions:
+                json_int(session, "a train session")
         yield model, meta

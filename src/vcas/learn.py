@@ -24,6 +24,8 @@ from .container import (
     DiskMatrix,
     PayloadKind,
     atomic_write,
+    built_from,
+    json_int,
     read_container,
     write_container,
 )
@@ -221,22 +223,19 @@ def _forward_trace(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass.
+    """Deterministic forward pass over a matrix of rows.
 
-    Accepts a single row or a batch; the softmax head returns
-    probabilities (rows sum to 1), the identity head raw outputs.
+    The softmax head returns probabilities (rows sum to 1), the
+    identity head raw outputs.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    single = x_arr.ndim == 1
-    if single:
-        x_arr = x_arr[None, :]
     if x_arr.ndim != 2 or x_arr.shape[1] != model.in_dim:
         raise ParameterError(
-            f"input width {x_arr.shape[-1]} does not match in_dim {model.in_dim}"
+            f"input shape {x_arr.shape} is not a matrix of rows of width "
+            f"in_dim {model.in_dim}"
         )
     _, z = _forward_trace(model, x_arr)
-    out = _softmax(z) if model.head == "softmax" else z
-    return out[0] if single else out
+    return _softmax(z) if model.head == "softmax" else z
 
 
 def _prepare_batch(
@@ -478,8 +477,6 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
                 stop_reason = "patience"
                 break
 
-    best_params.label_names = data.label_names
-    best_params.target_scale = scale
     history = TrainingHistory(
         tuple(train_curve), tuple(val_curve), best_epoch, stop_reason
     )
@@ -490,15 +487,14 @@ def predict_class(model: MlpModel, rows: np.ndarray) -> np.ndarray:
     """Argmax class indices; ties resolve to the lowest index."""
     if model.head != "softmax":
         raise ParameterError("predict_class needs a softmax head")
-    probs = np.atleast_2d(mlp_forward(model, rows))
-    return np.argmax(probs, axis=1)
+    return np.argmax(mlp_forward(model, rows), axis=1)
 
 
 def predict_regression(model: MlpModel, rows: np.ndarray) -> np.ndarray:
     """Regression predictions mapped back to target units."""
     if model.head != "identity":
         raise ParameterError("predict_regression needs an identity head")
-    out = np.atleast_2d(mlp_forward(model, rows))[:, 0]
+    out = mlp_forward(model, rows)[:, 0]
     if model.target_scale is not None:
         lo, hi = model.target_scale
         out = lo + out * (hi - lo)
@@ -630,16 +626,15 @@ def save_mlp(model: MlpModel, path: str | Path, meta: dict | None = None) -> Pat
 def load_mlp(path: str | Path) -> tuple[MlpModel, dict]:
     """Read a network written by save_mlp; returns (model, metadata)."""
     _, arrays, meta = read_container(path, expect_kind=PayloadKind.MLP_MODEL)
-    n = int(meta["n_layers"])
-    weights = [arrays[f"w{i}"] for i in range(n)]
-    biases = [arrays[f"b{i}"] for i in range(n)]
-    label_names = meta.get("label_names")
-    scale = meta.get("target_scale")
-    model = MlpModel(
-        weights,
-        biases,
-        head=str(meta["head"]),
-        label_names=tuple(label_names) if label_names else None,
-        target_scale=(float(scale[0]), float(scale[1])) if scale else None,
-    )
+    with built_from(path):
+        n = json_int(meta["n_layers"], "n_layers")
+        label_names = meta.get("label_names")
+        scale = meta.get("target_scale")
+        model = MlpModel(
+            [arrays[f"w{i}"] for i in range(n)],
+            [arrays[f"b{i}"] for i in range(n)],
+            head=str(meta["head"]),
+            label_names=tuple(label_names) if label_names else None,
+            target_scale=(float(scale[0]), float(scale[1])) if scale else None,
+        )
     return model, meta

@@ -39,6 +39,7 @@ from . import plants
 from .container import (
     PayloadKind,
     atomic_write,
+    built_from,
     open_container,
     read_container,
     read_container_lazily,
@@ -93,8 +94,6 @@ CONDITIONS_DEFAULT = {
     "contact": ("in_distribution", "interpolated", "out_of_distribution"),
 }
 
-_KNOWN_CONDITIONS = ("in_distribution", "perturbed", "interpolated", "out_of_distribution")
-
 PERTURBED_JITTER_SCALE = 3.0
 POSE_INTERP_ANGLES = 16
 POSE_INTERP_SAMPLES = 25
@@ -111,8 +110,10 @@ class RunConfig:
     """Everything a pipeline command needs, with per-task defaults.
 
     `train_per_class` / `test_per_class` count samples per class per
-    session; None picks the task default (25/25, contact 250/200).
-    `train.seed` always equals `seed`.
+    session.  None in `n_components`, the counts, `conditions` or
+    `preset` is replaced by the task's default (the counts 25/25,
+    contact 250/200; the preset named after the task) when the config
+    is made.  `train.seed` always equals `seed`.
     """
 
     task: plants.Task
@@ -135,45 +136,26 @@ class RunConfig:
             raise ParameterError(f"unknown band {self.band!r}; use {tuple(BANDS)}")
         if self.sessions_train < 1 or self.sessions_test < 1:
             raise ParameterError("need at least one train and one test session")
+        train_pc, test_pc = SAMPLES_PER_CLASS_DEFAULT[self.task]
+        defaults = {
+            "n_components": N_COMPONENTS_DEFAULT[self.task],
+            "train_per_class": train_pc,
+            "test_per_class": test_pc,
+            "conditions": CONDITIONS_DEFAULT[self.task],
+            "preset": self.task,
+        }
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("n_components", "train_per_class", "test_per_class"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
+            if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        if self.conditions is not None:
-            conds = tuple(self.conditions)
-            bad = set(conds) - set(_KNOWN_CONDITIONS)
-            if bad or "in_distribution" not in conds:
-                raise ParameterError(
-                    f"conditions must include in_distribution and draw from "
-                    f"{_KNOWN_CONDITIONS}, got {conds}"
-                )
-            allowed = set(CONDITIONS_DEFAULT[self.task])
-            if set(conds) - allowed:
-                raise ParameterError(
-                    f"conditions {sorted(set(conds) - allowed)} not defined "
-                    f"for task {self.task!r}"
-                )
-            object.__setattr__(self, "conditions", conds)
-
-    @property
-    def n_components_resolved(self) -> int:
-        return self.n_components or N_COMPONENTS_DEFAULT[self.task]
-
-    @property
-    def counts_resolved(self) -> tuple[int, int]:
-        default = SAMPLES_PER_CLASS_DEFAULT[self.task]
-        return (
-            self.train_per_class or default[0],
-            self.test_per_class or default[1],
-        )
-
-    @property
-    def conditions_resolved(self) -> tuple[str, ...]:
-        return self.conditions or CONDITIONS_DEFAULT[self.task]
-
-    @property
-    def preset_source(self) -> str:
-        return self.preset or self.task
+        unknown = set(self.conditions) - set(CONDITIONS_DEFAULT[self.task])
+        if unknown or "in_distribution" not in self.conditions:
+            raise ParameterError(
+                f"conditions {self.conditions} are not defined for task {self.task!r}: "
+                f"use in_distribution and any of {CONDITIONS_DEFAULT[self.task]}"
+            )
 
 
 # One clean response per job, one noisy spectrum row per noise seed:
@@ -195,11 +177,10 @@ def _sessions(
     layout += [
         ("test", 1.0, cfg.sessions_train + i) for i in range(cfg.sessions_test)
     ]
-    if "perturbed" in cfg.conditions_resolved:
+    if "perturbed" in cfg.conditions:
         layout.append(
             ("perturbed", PERTURBED_JITTER_SCALE, cfg.sessions_train + cfg.sessions_test)
         )
-    train_pc, test_pc = cfg.counts_resolved
     for (role, scale, sid), sess_ss in zip(
         layout, np.random.SeedSequence(cfg.seed).spawn(len(layout))
     ):
@@ -207,7 +188,8 @@ def _sessions(
         jitter = plants.draw_session_jitter(
             np.random.default_rng(jit_ss), max_modes, scale
         )
-        yield role, sid, train_pc if role == "train" else test_pc, jitter, streams
+        n_pc = cfg.train_per_class if role == "train" else cfg.test_per_class
+        yield role, sid, n_pc, jitter, streams
 
 
 def _class_bank_jobs(
@@ -219,7 +201,7 @@ def _class_bank_jobs(
         cfg, preset.max_modes, len(names)
     ):
         for target, (name, c_ss) in enumerate(zip(names, class_ss)):
-            modes = plants.apply_jitter(plants.class_modes(preset, name), jitter)
+            modes = plants.apply_jitter(preset.classes[name], jitter)
             plant = plants.build_plant(modes, preset.noise_snr_db)
             jobs.append((role, plant, target, sid, c_ss.generate_state(n_pc)))
     return names, jobs
@@ -227,7 +209,7 @@ def _class_bank_jobs(
 
 def _pose_jobs(cfg: RunConfig, preset: plants.PosePreset) -> tuple[None, list[_Job]]:
     angles = preset.train_angles
-    want_interp = "interpolated" in cfg.conditions_resolved
+    want_interp = "interpolated" in cfg.conditions
     jobs = []
 
     def add(role, angle, jitter, sid, seeds):
@@ -267,7 +249,7 @@ def _contact_jobs(
 ) -> tuple[tuple[str, ...], list[_Job]]:
     names = tuple(sorted(CONTACT_LABELS))
     name_idx = {n: i for i, n in enumerate(names)}
-    conds = cfg.conditions_resolved
+    conds = cfg.conditions
     class_poses = _contact_trajectory_poses()
     jobs = []
 
@@ -347,7 +329,7 @@ class SynthPlan:
 
 def plan_synthesis(cfg: RunConfig) -> SynthPlan:
     """List a task's jobs and label every row they will make."""
-    preset = plants.load_preset(cfg.preset_source)
+    preset = plants.load_preset(cfg.preset)
     if preset.task != cfg.task:
         raise ParameterError(
             f"preset is for task {preset.task!r}, config wants {cfg.task!r}"
@@ -516,10 +498,6 @@ class TaskModels:
     train_sessions: tuple[int, ...]
     history: TrainingHistory | None = None
 
-    @property
-    def n_components(self) -> int:
-        return self.kpca.n_components
-
 
 def train_task(
     train: Dataset, bin_hz: float, cfg: RunConfig, kpca_path: Path | None = None
@@ -535,7 +513,7 @@ def train_task(
     sl = band_slice_for(bin_hz, train.rows.shape[1], cfg.band)
     sessions = tuple(np.unique(train.session_ids).tolist())
     kpca, embeddings = kpca_fit_transform(
-        train.rows[:, sl], cfg.n_components_resolved, kpca_path,
+        train.rows[:, sl], cfg.n_components, kpca_path,
         {"train_sessions": list(sessions)},
     )
     emb_ds = Dataset(
@@ -564,7 +542,7 @@ def eval_task(
         "f_low_hz": lo,
         "f_high_hz": hi,
         "condition": condition,
-        "n_components": models.n_components,
+        "n_components": models.kpca.n_components,
         "n_test": len(test),
     }
     if test.label_names is not None:
@@ -585,7 +563,7 @@ def metrics_to_dict(models: TaskModels, rows: list[dict]) -> dict:
         "band": models.band,
         "f_low_hz": lo,
         "f_high_hz": hi,
-        "n_components": models.n_components,
+        "n_components": models.kpca.n_components,
         "rows": rows,
     }
 
@@ -641,20 +619,25 @@ def open_dataset(
 
 
 def _as_dataset(path, arrays: dict, meta: dict) -> tuple[Dataset, dict]:
-    label_names = meta.get("label_names")
-    targets = arrays["targets"]
-    if label_names is not None:
-        rounded = np.rint(targets)
-        if np.abs(targets - rounded).max() > 0:
-            raise DataError(f"{path}: class targets are not integral")
-        targets = rounded.astype(np.int64)
-    ds = Dataset(
-        arrays["rows"],
-        targets,
-        tuple(label_names) if label_names else None,
-        str(meta["split"]),
-        arrays["session_ids"].astype(np.int64),
-    )
+    """The file's Dataset, and its metadata with `bin_hz` as a float."""
+    with built_from(path):
+        label_names = meta.get("label_names")
+        targets = arrays["targets"]
+        if label_names is not None:
+            rounded = np.rint(targets)
+            if not np.array_equal(targets, rounded):
+                raise DataError(f"{path}: class targets are not integral")
+            targets = rounded.astype(np.int64)
+        ds = Dataset(
+            arrays["rows"],
+            targets,
+            tuple(label_names) if label_names else None,
+            str(meta["split"]),
+            arrays["session_ids"].astype(np.int64),
+        )
+        meta = {**meta, "bin_hz": float(meta["bin_hz"])}
+        if not 0 < meta["bin_hz"] < np.inf:
+            raise ValueError(f"bin_hz {meta['bin_hz']} is not positive and finite")
     return ds, meta
 
 

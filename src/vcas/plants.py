@@ -237,12 +237,6 @@ def apply_jitter(modes: Modes, jitter: SessionJitter) -> Modes:
     return tuple(out)
 
 
-def class_modes(preset: ClassBankPreset, name: str) -> Modes:
-    if name not in preset.classes:
-        raise ParameterError(f"unknown class {name!r} in {preset.task} preset")
-    return preset.classes[name]
-
-
 def pose_modes(preset: PosePreset, angle_deg: float) -> Modes:
     """Mode bank at a rotation angle; frequencies drift linearly."""
     lo, hi = preset.train_angles[0], preset.train_angles[-1]

@@ -15,6 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .container import built_from, json_int
 # Unused here, but perfbench/tracer.py patches these names in this module,
 # so they stay importable until its SITES table is retired.
 from .container import read_container, write_container  # noqa: F401
@@ -126,7 +127,7 @@ def _action_probs(model: PolicyModel, window: Window) -> np.ndarray:
         raise ParameterError(
             f"window length {len(window)} != model window {model.window_length}"
         )
-    return mlp_forward(model.net, encode_window(window))
+    return mlp_forward(model.net, encode_window(window)[None])[0]
 
 
 def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Action:
@@ -160,26 +161,6 @@ def as_rollout_policy(model: PolicyModel, mode: PolicyMode = "greedy") -> Rollou
     return _policy
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Aggregate rollout statistics for one start regime."""
-
-    regime: str
-    n_episodes: int
-    success_rate: float
-    mean_length: float
-    length_p50: float
-    length_p90: float
-    max_length: int
-    failures: tuple[Episode, ...]
-
-    def __post_init__(self):
-        if not (0.0 <= self.success_rate <= 1.0):
-            raise ParameterError("success_rate outside [0, 1]")
-        if len(self.failures) != round((1.0 - self.success_rate) * self.n_episodes):
-            raise ParameterError("failure count inconsistent with success_rate")
-
-
 def policy_eval(
     model: PolicyModel | RolloutPolicy,
     regime: str,
@@ -187,12 +168,14 @@ def policy_eval(
     m: ObservationModel,
     seed: int,
     mode: PolicyMode = "greedy",
-) -> EvalReport:
-    """Roll the policy from per-episode seeded starts and aggregate.
+) -> dict:
+    """Roll the policy from per-episode seeded starts; the JSON payload.
 
-    Each episode gets independent start and rollout seeds split from
-    the root seed, so results do not depend on execution order.  A
-    bare rollout-policy callable (e.g. the expert) is accepted too.
+    The payload holds the success rate, the episode length statistics
+    and every failed episode.  Each episode gets independent start and
+    rollout seeds split from the root seed, so results do not depend on
+    execution order.  A bare rollout-policy callable (e.g. the expert)
+    is accepted too.
     """
     if n_episodes < 1:
         raise ParameterError("n_episodes must be >= 1")
@@ -216,29 +199,16 @@ def policy_eval(
             )
         )
     lengths = np.array([ep.length for ep in episodes])
-    failures = tuple(ep for ep in episodes if not ep.success)
-    return EvalReport(
-        regime=regime,
-        n_episodes=n_episodes,
-        success_rate=1.0 - len(failures) / n_episodes,
-        mean_length=float(lengths.mean()),
-        length_p50=float(np.percentile(lengths, 50)),
-        length_p90=float(np.percentile(lengths, 90)),
-        max_length=int(lengths.max()),
-        failures=failures,
-    )
-
-
-def eval_report_to_dict(report: EvalReport) -> dict:
+    failures = [episode_to_dict(ep) for ep in episodes if not ep.success]
     return {
-        "regime": report.regime,
-        "n_episodes": report.n_episodes,
-        "success_rate": report.success_rate,
-        "mean_length": report.mean_length,
-        "length_p50": report.length_p50,
-        "length_p90": report.length_p90,
-        "max_length": report.max_length,
-        "failures": [episode_to_dict(ep) for ep in report.failures],
+        "regime": regime,
+        "n_episodes": n_episodes,
+        "success_rate": 1.0 - len(failures) / n_episodes,
+        "mean_length": float(lengths.mean()),
+        "length_p50": float(np.percentile(lengths, 50)),
+        "length_p90": float(np.percentile(lengths, 90)),
+        "max_length": int(lengths.max()),
+        "failures": failures,
     }
 
 
@@ -251,4 +221,5 @@ def load_policy(path: str | Path) -> PolicyModel:
     net, meta = load_mlp(path)
     if "window_length" not in meta:
         raise DataError(f"{path} is an MLP file without window_length, not a policy")
-    return PolicyModel(net, int(meta["window_length"]))
+    with built_from(path):
+        return PolicyModel(net, json_int(meta["window_length"], "window_length"))

@@ -72,16 +72,16 @@ def test_criterion_1_insertion_success(policy_bundle):
     interp = policy_eval(model, "interpolated", 1000, DEFAULT_OBS, seed=2)
     elapsed = build_seconds + (time.monotonic() - t0)
     ok = (
-        fixed.success_rate >= 0.90
-        and interp.success_rate >= 0.85
+        fixed["success_rate"] >= 0.90
+        and interp["success_rate"] >= 0.85
         and elapsed <= 300.0
     )
     line = _verdict(
         1,
         "insertion success",
         ok,
-        f"fixed={fixed.success_rate:.3f} (>=0.90) "
-        f"interpolated={interp.success_rate:.3f} (>=0.85) "
+        f"fixed={fixed['success_rate']:.3f} (>=0.90) "
+        f"interpolated={interp['success_rate']:.3f} (>=0.85) "
         f"runtime={elapsed:.0f}s (<=300s)",
     )
     assert ok, line
@@ -264,13 +264,14 @@ def test_criterion_7_history_ablation(policy_bundle):
     model1, _ = policy_train(demos1, TrainConfig(seed=0))
     long_history = policy_eval(model10, "interpolated", 1000, DEFAULT_OBS, seed=11)
     short_history = policy_eval(model1, "interpolated", 1000, DEFAULT_OBS, seed=11)
-    gap = long_history.success_rate - short_history.success_rate
+    gap = long_history["success_rate"] - short_history["success_rate"]
     ok = gap >= 0.05
     line = _verdict(
         7,
         "history ablation",
         ok,
-        f"10-step={long_history.success_rate:.3f} 1-step={short_history.success_rate:.3f} "
+        f"10-step={long_history['success_rate']:.3f} "
+        f"1-step={short_history['success_rate']:.3f} "
         f"gap={gap * 100:.1f}pp (>=5pp), 1000 paired-seed episodes",
     )
     assert ok, line

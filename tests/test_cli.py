@@ -1074,6 +1074,108 @@ def test_a_malformed_preset_exits_2_with_one_error_line(tmp_path, capsys, key, v
     assert not (tmp_path / "grasp").exists()
 
 
+# Case -> (file under a grasp + sim workspace, edit of its (arrays, meta)).
+# Each file stays a well-formed container; only what it holds is wrong.
+_MALFORMED_VCAS = {
+    "mlp without n_layers": (
+        "grasp/models/mlp_full.vcas", lambda a, m: m.pop("n_layers")
+    ),
+    "mlp with an unknown head": (
+        "grasp/models/mlp_full.vcas", lambda a, m: m.update(head="tanh")
+    ),
+    "policy without n_layers": ("sim/policy.vcas", lambda a, m: m.pop("n_layers")),
+    "policy window_length 'ten'": (
+        "sim/policy.vcas", lambda a, m: m.update(window_length="ten")
+    ),
+    "policy window_length 10.0": (
+        "sim/policy.vcas", lambda a, m: m.update(window_length=10.0)
+    ),
+    "policy window_length not the net's": (
+        "sim/policy.vcas", lambda a, m: m.update(window_length=11)
+    ),
+    "kpca without eigenvalues": (
+        "grasp/models/kpca_full.vcas", lambda a, m: a.pop("eigenvalues")
+    ),
+    "kpca with a short offset": (
+        "grasp/models/kpca_full.vcas", lambda a, m: a.update(offset=a["offset"][:-1])
+    ),
+    "kpca train_sessions 'abc'": (
+        "grasp/models/kpca_full.vcas", lambda a, m: m.update(train_sessions="abc")
+    ),
+    "kpca train_sessions [0.0]": (
+        "grasp/models/kpca_full.vcas", lambda a, m: m.update(train_sessions=[0.0])
+    ),
+    "dataset without split": (
+        "grasp/data/in_distribution.test.vcas", lambda a, m: m.pop("split")
+    ),
+    "dataset bin_hz 'abc'": (
+        "grasp/data/in_distribution.test.vcas", lambda a, m: m.update(bin_hz="abc")
+    ),
+    "dataset bin_hz 0": (
+        "grasp/data/in_distribution.test.vcas", lambda a, m: m.update(bin_hz=0)
+    ),
+    "dataset targets shorter than rows": (
+        "grasp/data/in_distribution.test.vcas",
+        lambda a, m: a.update(targets=a["targets"][:-1]),
+    ),
+    "dataset target outside the labels": (
+        "grasp/data/in_distribution.test.vcas",
+        lambda a, m: a.update(targets=a["targets"] + 99),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_VCAS))
+def test_a_vcas_file_with_malformed_contents_exits_2_with_one_error_line(
+    workspace, sim_workspace, tmp_path, capsys, case
+):
+    name, edit = _MALFORMED_VCAS[case]
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    shutil.copytree(sim_workspace / "sim", tmp_path / "sim")
+    path = tmp_path / name
+    kind, arrays, meta = read_container(path)
+    edit(arrays, meta)
+    write_container(path, kind, arrays, meta)
+    if name.startswith("sim/"):
+        command = ["sim", "eval-policy", "--episodes", "1"]
+    else:
+        command = ["eval", "--task", "grasp", *TINY_GRASP]
+    capsys.readouterr()
+    assert main([*command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: malformed {path}: "), err
+
+
+_GOOD_DEMO = '{"action": 1, "window": [null, 0]}\n'
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_GOOD_DEMO + '{"action": 0, "window": [0, null]}\n', ":2:"),
+        (_GOOD_DEMO + '{"action": 0, "window": [1]}\n', ":2:"),
+        (_GOOD_DEMO + '{"action": 0, "window": [null, true]}\n', ":2:"),
+        (_GOOD_DEMO + '{"action": 0, "window": [null, 1.0]}\n', ":2:"),
+        (_GOOD_DEMO + '{"action": true, "window": [null, 1]}\n', ":2:"),
+        (_GOOD_DEMO + '{"action": 1.0, "window": [null, 1]}\n', ":2:"),
+        ("", ": demo set is empty"),
+        (_GOOD_DEMO * 2, ": demos contain only the rot_z action"),
+    ],
+    ids=["pad after an observation", "mixed window lengths", "token true",
+         "token 1.0", "action true", "action 1.0", "empty file", "one action"],
+)
+def test_a_malformed_demo_file_exits_2_with_one_error_line(
+    tmp_path, capsys, text, where
+):
+    path = tmp_path / "demos.jsonl"
+    path.write_text(text)
+    command = ["sim", "train-policy", "--demos", str(path), "--epochs", "1"]
+    assert main([*command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path}{where}" in err, err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
     assert main(["sim", "demos", "--episodes", "5", "--out", str(tmp_path)]) == 0
     path = _probe_policy_directory(tmp_path)

@@ -8,7 +8,6 @@ from vcas.envsim import (
     GRID_MAX,
     GRID_STEP,
     MAX_EPISODE_STEPS,
-    WINDOW_LENGTH,
     Action,
     ContactType,
     DemoPair,
@@ -16,7 +15,6 @@ from vcas.envsim import (
     EpisodeStep,
     ObservationModel,
     PoseState,
-    blank_window,
     contact_type,
     episode_to_dict,
     expert_action,
@@ -197,19 +195,20 @@ def test_observation_model_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.matrix, cm.normalized())
 
 
-def test_observation_model_csv_headerless(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("1,0,0\n0,1,0\n0,0,1\n")
-    assert np.array_equal(observation_model_from_csv(p).matrix, np.eye(3))
-
-
 def test_observation_model_csv_diagnostics(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,0\n0,1\n")
     with pytest.raises(DataError):
         observation_model_from_csv(bad)
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    with pytest.raises(DataError, match="true_label header"):
+        observation_model_from_csv(headerless)
     unnorm = tmp_path / "unnorm.csv"
-    unnorm.write_text("0.5,0.2,0.0\n0,1,0\n0,0,1\n")
+    unnorm.write_text(
+        "true_label,diagonal,line,in_hole\n"
+        "diagonal,0.5,0.2,0.0\nline,0,1,0\nin_hole,0,0,1\n"
+    )
     with pytest.raises(DataError, match="sum"):
         observation_model_from_csv(unnorm)
     empty = tmp_path / "empty.csv"
@@ -222,14 +221,15 @@ def test_observation_model_csv_diagnostics(tmp_path):
 
 
 def test_demos_from_two_step_start_record_expert_pairs():
-    demos = generate_demos(2, PoseState(85.5, 85.5), IDENTITY, seed=4)
-    assert len(demos) == 4
-    first, second = demos[0], demos[1]
+    # From (45, 45) the expert turns theta_z 10 times, then theta_x 10 times.
+    demos = generate_demos(2, "fixed", IDENTITY, seed=4)
+    assert len(demos) == 40
+    first, turn = demos[0], demos[10]
     assert first.window == (None,) * 9 + (ContactType.DIAGONAL,)
     assert first.action == Action.ROT_Z
-    assert second.window == (None,) * 8 + (ContactType.DIAGONAL, ContactType.LINE)
-    assert second.action == Action.ROT_X
-    assert demos[2:] == demos[:2]  # identity channel: every episode identical
+    assert turn.window == (ContactType.DIAGONAL,) * 9 + (ContactType.LINE,)
+    assert turn.action == Action.ROT_X
+    assert demos[20:] == demos[:20]  # identity channel: every episode identical
 
 
 def test_demos_deterministic_by_seed():
@@ -242,16 +242,13 @@ def test_demos_deterministic_by_seed():
 
 
 def test_demos_window_length_and_validation():
-    demos = generate_demos(1, PoseState(85.5, 85.5), IDENTITY, seed=0, window_length=3)
-    assert all(len(d.window) == 3 for d in demos)
+    demos = generate_demos(1, "fixed", IDENTITY, seed=0, window_length=3)
+    assert len(demos) == 20 and all(len(d.window) == 3 for d in demos)
+    assert demos[10].window == (ContactType.DIAGONAL,) * 2 + (ContactType.LINE,)
     with pytest.raises(ParameterError):
         generate_demos(0, "fixed", IDENTITY, seed=0)
     with pytest.raises(ParameterError):
         generate_demos(1, "fixed", IDENTITY, seed=0, window_length=0)
-
-
-def test_blank_window_default_length():
-    assert blank_window() == (None,) * WINDOW_LENGTH
 
 
 # ------------------------------------------------------------- rollout
@@ -328,9 +325,8 @@ def test_episode_length_cap_enforced():
 
 
 def test_start_sampler_fixed_and_passthrough():
-    assert start_pose_sampler("fixed", 5) == PoseState(45.0, 45.0)
-    pose = PoseState(58.5, 13.5)
-    assert start_pose_sampler(pose, 99) is pose
+    for seed in (5, 99):
+        assert start_pose_sampler("fixed", seed) == PoseState(45.0, 45.0)
 
 
 def test_start_sampler_interpolated_bounds():
@@ -392,3 +388,16 @@ def test_demo_jsonl_diagnostics(tmp_path):
     path.write_text('{"window": [0, 9], "action": 0}\n')
     with pytest.raises(DataError, match="1"):
         read_demos(path)
+    # Each fault names its line: the second, after a good first line.
+    good = '{"window": [null, 0], "action": 1}\n'
+    for bad, message in [
+        ('{"window": [0, null], "action": 1}', "pad follows an observation"),
+        ('{"window": [0], "action": 1}', "window length 1"),
+        ('{"window": [null, true], "action": 1}', "token must be an integer"),
+        ('{"window": [null, 1.0], "action": 1}', "token must be an integer"),
+        ('{"window": [null, 0], "action": true}', "action must be an integer"),
+        ('{"window": [null, 0], "action": 1.0}', "action must be an integer"),
+    ]:
+        path.write_text(good + bad + "\n")
+        with pytest.raises(DataError, match=f"bad.jsonl:2: .*{message}"):
+            read_demos(path)

@@ -80,7 +80,7 @@ def test_cosine_kernel_zero_row_rejected():
     with pytest.raises(DegenerateInputError):
         kpca_fit_transform(np.vstack([rows, np.zeros(3)]), 2)
     with pytest.raises(DegenerateInputError):
-        kpca_transform(model, np.zeros(3))
+        kpca_transform(model, np.zeros((1, 3)))
 
 
 # ----------------------------------------------------------------- kpca
@@ -130,8 +130,8 @@ def test_kpca_transform_scale_invariance():
     rng = np.random.default_rng(7)
     rows = np.abs(rng.normal(size=(15, 12))) + 0.1
     model, emb = kpca_fit_transform(rows, 4)
-    scaled = kpca_transform(model, 2.0 * rows[3])
-    assert np.abs(scaled - emb[3]).max() < 1e-10
+    scaled = kpca_transform(model, 2.0 * rows[3:4])
+    assert np.abs(scaled - emb[3:4]).max() < 1e-10
 
 
 def test_kpca_out_of_sample_matches_reference():
@@ -170,18 +170,22 @@ def test_kpca_fit_is_bit_reproducible():
 
 
 def test_kpca_single_row_transform_returns_vector():
+    # One row is a 1 x bins matrix and gives a 1 x components row vector;
+    # a 1-D row is not a matrix of rows.
     rng = np.random.default_rng(11)
     rows = np.abs(rng.normal(size=(10, 6))) + 0.1
     model = kpca_fit(rows, 3)
-    out = kpca_transform(model, rows[0])
-    assert out.shape == (3,)
+    out = kpca_transform(model, rows[:1])
+    assert out.shape == (1, 3)
+    with pytest.raises(ParameterError, match="matrix of rows"):
+        kpca_transform(model, rows[0])
 
 
 def test_kpca_length_mismatch_rejected():
     rng = np.random.default_rng(12)
     model = kpca_fit(np.abs(rng.normal(size=(8, 6))) + 0.1, 2)
     with pytest.raises(ParameterError):
-        kpca_transform(model, np.ones(5))
+        kpca_transform(model, np.ones((1, 5)))
 
 
 def test_kpca_linear_kernel_reproduces_classical_pca():
@@ -233,7 +237,6 @@ def test_kpca_leaves_its_input_rows_unchanged():
     before = rows.tobytes(), new.tobytes()
     model, _ = kpca_fit_transform(rows, 3)
     kpca_transform(model, new)
-    kpca_transform(model, new[0])
     assert (rows.tobytes(), new.tobytes()) == before
 
 
@@ -304,8 +307,7 @@ def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
     kpca_path = save_kpca(model, tmp_path / "k.vcas")
     rows_path = write_container(tmp_path / "r.vcas", PayloadKind.DATASET, {"rows": wide})
     want = kpca_transform(model, new)
-    want_one = kpca_transform(model, new[1])
-    assert want_one.shape == (4,)
+    want_one = kpca_transform(model, new[1:2])
     with (
         load_kpca(kpca_path) as (on_disk, _),
         read_container_lazily(rows_path, on_disk="rows") as (_, arrays, _),
@@ -315,9 +317,9 @@ def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
             got = kpca_transform(projected, disk_rows[:6])
             assert got.tobytes() == want.tobytes()
             assert kpca_transform(projected, new).tobytes() == want.tobytes()
-            assert kpca_transform(projected, new[1]).tobytes() == want_one.tobytes()
+            assert kpca_transform(projected, new[1:2]).tobytes() == want_one.tobytes()
             got_one = kpca_transform(projected, disk_rows[1:2])
-            assert got_one.tobytes() == want_one[None].tobytes()
+            assert got_one.tobytes() == want_one.tobytes()
             with pytest.raises(DegenerateInputError):
                 kpca_transform(projected, disk_rows[5:7])
             with pytest.raises(ParameterError, match="finite"):

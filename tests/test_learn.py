@@ -118,16 +118,14 @@ def test_forward_probabilities_sum_to_one():
     out = mlp_forward(model, x)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
     assert (out >= 0).all()
-    single = mlp_forward(model, x[0])
-    assert single.shape == (5,)
-    # Batched and single-row matmuls may pick different BLAS kernels.
-    assert np.allclose(single, out[0], rtol=1e-12, atol=0)
 
 
 def test_forward_rejects_width_mismatch():
     model = mlp_init(7, 5, "softmax", seed=2)
     with pytest.raises(ParameterError):
-        mlp_forward(model, np.zeros(6))
+        mlp_forward(model, np.zeros((1, 6)))
+    with pytest.raises(ParameterError, match="matrix of rows"):
+        mlp_forward(model, np.zeros(7))
 
 
 # --------------------------------------------------------- gradients

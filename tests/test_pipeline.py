@@ -74,14 +74,16 @@ def test_run_config_validation():
 
 def test_run_config_resolved_defaults():
     cfg = RunConfig(task="contact")
-    assert cfg.n_components_resolved == N_COMPONENTS_DEFAULT["contact"]
-    assert cfg.counts_resolved == SAMPLES_PER_CLASS_DEFAULT["contact"]
-    assert cfg.conditions_resolved == CONDITIONS_DEFAULT["contact"]
+    assert cfg.n_components == N_COMPONENTS_DEFAULT["contact"]
+    counts = cfg.train_per_class, cfg.test_per_class
+    assert counts == SAMPLES_PER_CLASS_DEFAULT["contact"]
+    assert cfg.conditions == CONDITIONS_DEFAULT["contact"]
     assert cfg.band == "full"
-    assert cfg.preset_source == "contact"
+    assert cfg.preset == "contact"
     override = RunConfig(task="contact", n_components=7, train_per_class=9)
-    assert override.n_components_resolved == 7
-    assert override.counts_resolved == (9, SAMPLES_PER_CLASS_DEFAULT["contact"][1])
+    assert override.n_components == 7
+    counts = override.train_per_class, override.test_per_class
+    assert counts == (9, SAMPLES_PER_CLASS_DEFAULT["contact"][1])
 
 
 def test_train_config_inherits_optimizer_settings():
@@ -285,7 +287,7 @@ def test_non_finite_noisy_chunk_in_a_worker_raises_parameter_error(monkeypatch):
 
 def test_train_task_builds_models(grasp_data, grasp_models):
     assert grasp_models.task == "grasp"
-    assert grasp_models.n_components == 3
+    assert grasp_models.kpca.n_components == 3
     assert grasp_models.kpca.projection.shape == (20980, 3)  # full band
     assert grasp_models.train_sessions == (0, 1)
     assert grasp_models.mlp.in_dim == 3

@@ -13,7 +13,6 @@ from vcas.plants import (
     PosePreset,
     apply_jitter,
     build_plant,
-    class_modes,
     contact_modes,
     default_preset_path,
     draw_session_jitter,
@@ -239,14 +238,6 @@ def test_contact_label_examples():
     assert contact_modes(preset, 45.0, 45.0)[1] == "diagonal"
     assert contact_modes(preset, 58.5, 90.0)[1] == "line"
     assert contact_modes(preset, 90.0, 90.0)[1] == "in_hole"
-
-
-def test_class_modes_lookup():
-    preset = load_preset("grasp")
-    modes = class_modes(preset, "tip")
-    assert modes == preset.classes["tip"]
-    with pytest.raises(ParameterError, match="unknown class"):
-        class_modes(preset, "palm")
 
 
 def test_pose_modes_drift_linearly():
