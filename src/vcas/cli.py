@@ -72,12 +72,12 @@ from .pipeline import (
 from .features import save_kpca  # noqa: F401, E402
 from .pipeline import read_dataset, synth_task_data, write_dataset  # noqa: F401, E402
 from .policy import (
+    TOKEN_COUNT,
     PolicyMode,
     as_rollout_policy,
     load_policy,
     policy_eval,
     policy_train,
-    save_policy,
 )
 
 DEFAULT_OUT = "vcas_out"
@@ -302,8 +302,8 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     # eval's fit_id check refuses.
     mdir = Path(out_dir) / cfg.task / "models"
     kpca_path = mdir / f"kpca_{cfg.band}.vcas"
-    with read_dataset_lazily(train_path) as (train_ds, meta):
-        models = train_task(train_ds, meta["bin_hz"], cfg, kpca_path)
+    with read_dataset_lazily(train_path) as train_ds:
+        models = train_task(train_ds, cfg, kpca_path)
     history = history_to_dict(models.history)
     history.update(
         {
@@ -343,10 +343,10 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
     reports: dict = {}
     with load_kpca(kpca_path) as (kpca, kpca_meta):
         mlp, mlp_meta = load_mlp(mlp_path)
-        if mlp_meta.get("fit_id") != kpca_meta.get("fit_id"):
+        if mlp_meta.get("fit_id") != kpca.fit_id:
             raise DataError(
                 f"{mlp_path} was trained on kPCA fit {mlp_meta.get('fit_id')} but "
-                f"{kpca_path} holds fit {kpca_meta.get('fit_id')}; the two files "
+                f"{kpca_path} holds fit {kpca.fit_id}; the two files "
                 "come from different train runs"
             )
         if "train_sessions" not in kpca_meta:
@@ -363,8 +363,8 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
                         f"no test data at {test_path}; run synth-data first"
                     )
                 continue
-            with read_dataset_lazily(test_path) as (test, meta):
-                row, reports[cond] = eval_task(models, cond, test, meta["bin_hz"])
+            with read_dataset_lazily(test_path) as test:
+                row, reports[cond] = eval_task(models, cond, test)
             rows.append(row)
 
     edir = Path(out_dir) / cfg.task / "eval"
@@ -397,13 +397,13 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
         if not demos_path.exists():
             raise DataError(f"no demo set at {demos_path}; run sim demos first")
         try:
-            model, history = policy_train(read_demos(demos_path), options.train)
+            net, history = policy_train(read_demos(demos_path), options.train)
         except ParameterError as exc:  # its settings were checked on parsing
             raise DataError(f"{demos_path}: {exc}") from exc
         history_payload = history_to_dict(history)
-        history_payload["window_length"] = model.window_length
+        history_payload["window_length"] = net.in_dim // TOKEN_COUNT
         return [
-            save_policy(model, sim_dir / "policy.vcas"),
+            save_mlp(net, sim_dir / "policy.vcas"),
             write_json(history_payload, sim_dir / "policy_history.json"),
         ]
     if subcommand == "eval-policy":
@@ -426,9 +426,9 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
             policy_path = Path(options.policy)
             if not policy_path.exists():
                 raise DataError(f"no policy at {policy_path}")
-            model = load_policy(policy_path)
-            policy_fn = as_rollout_policy(model, mode=options.mode)
-            window_length = model.window_length
+            net = load_policy(policy_path)
+            policy_fn = as_rollout_policy(net, mode=options.mode)
+            window_length = net.in_dim // TOKEN_COUNT
         try:
             x_str, z_str = options.start.split(",")
             start = PoseState(float(x_str), float(z_str))

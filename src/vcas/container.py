@@ -124,6 +124,15 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_strings(value, name: str) -> tuple[str, ...] | None:
+    """`value` as a tuple if it is a JSON list of strings; null or [] is None."""
+    if value is not None and not (
+        isinstance(value, list) and all(isinstance(v, str) for v in value)
+    ):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value) if value else None
+
+
 def _layout(
     kind: PayloadKind, shapes: dict[str, tuple[int, ...]],
     dtypes: dict[str, np.dtype], meta: dict | None,

@@ -151,9 +151,10 @@ def kpca_fit_transform(
 
     Without `path` the projection's blocks fill an array in the model.
     With `path`, the model file save_kpca(model, path, meta) would write
-    is opened once the eigensystem is known (its header needs only the
-    fit_id) and each block is written to it as it is made, so no
-    bins-sized array is held; the returned model's projection is None.
+    is opened once the eigensystem is known (it gives the component
+    count and the arrays that go before the projection) and each block
+    is written to it as it is made, so no bins-sized array is held; the
+    returned model's projection is None.
     """
     shape = np.shape(rows)
     if len(shape) != 2 or shape[1] == 0:
@@ -308,7 +309,6 @@ def _open_kpca(
         "projection": (n_bins, model.n_components),
         **{name: arr.shape for name, arr in small.items()},
     }
-    meta = {**(meta or {}), "fit_id": model.fit_id}
     with open_container(path, PayloadKind.KPCA_MODEL, shapes, meta) as put:
         for name, arr in small.items():
             put(name, 0, arr)

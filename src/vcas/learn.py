@@ -26,6 +26,7 @@ from .container import (
     atomic_write,
     built_from,
     json_int,
+    json_strings,
     read_container,
     write_container,
 )
@@ -322,30 +323,6 @@ class TrainingHistory:
         return len(self.train_loss)
 
 
-def _canonical_order(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Sort by target first, then by row values column by column.
-
-    Batch assembly starts from this order, so shuffling the input rows
-    cannot change what gets trained.
-    """
-    keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1)) + (targets,)
-    return np.lexsort(keys)
-
-
-def _collapse_duplicates(
-    rows: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge each run of identical (row, target) pairs into one counted row.
-
-    Expects canonical order, which puts equal pairs next to each other.
-    Returns the distinct rows, their targets and float repeat counts.
-    """
-    same = (rows[1:] == rows[:-1]).all(axis=1) & (targets[1:] == targets[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    counts = np.diff(np.append(starts, rows.shape[0])).astype(np.float64)
-    return rows[starts], targets[starts], counts
-
-
 def _split_indices(
     targets: np.ndarray,
     classification: bool,
@@ -404,8 +381,14 @@ def mlp_train(data: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainingHistor
         out_dim = 1
         scale = (lo, hi)
 
-    order = _canonical_order(data.rows, targets)
-    rows, targets, counts = _collapse_duplicates(data.rows[order], targets[order])
+    # The distinct (target, row) pairs and their counts, sorted by target,
+    # then by row column by column, so shuffling the input rows cannot
+    # change what gets trained.
+    pairs, counts = np.unique(
+        np.column_stack([targets, data.rows]), axis=0, return_counts=True
+    )
+    rows, targets = pairs[:, 1:], pairs[:, 0].astype(targets.dtype)
+    counts = counts.astype(np.float64)
 
     init_ss, split_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     model = mlp_init(
@@ -628,13 +611,12 @@ def load_mlp(path: str | Path) -> tuple[MlpModel, dict]:
     _, arrays, meta = read_container(path, expect_kind=PayloadKind.MLP_MODEL)
     with built_from(path):
         n = json_int(meta["n_layers"], "n_layers")
-        label_names = meta.get("label_names")
         scale = meta.get("target_scale")
         model = MlpModel(
             [arrays[f"w{i}"] for i in range(n)],
             [arrays[f"b{i}"] for i in range(n)],
             head=str(meta["head"]),
-            label_names=tuple(label_names) if label_names else None,
+            label_names=json_strings(meta.get("label_names"), "label_names"),
             target_scale=(float(scale[0]), float(scale[1])) if scale else None,
         )
     return model, meta

@@ -40,6 +40,7 @@ from .container import (
     PayloadKind,
     atomic_write,
     built_from,
+    json_strings,
     open_container,
     read_container,
     read_container_lazily,
@@ -47,7 +48,7 @@ from .container import (
 )
 from .envsim import CONTACT_LABELS, PoseState, contact_type, expert_action
 from .envsim import step as env_step
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 from .features import (
     KernelPcaModel,
     fft_magnitude,
@@ -66,7 +67,15 @@ from .learn import (
     eval_regressor,
     mlp_train,
 )
-from .signal import SAMPLE_RATE, ModalPlant, apply_noise, chirp, modal_response
+from .signal import (
+    BIN_HZ,
+    N_BINS,
+    SWEEP_POINTS,
+    ModalPlant,
+    apply_noise,
+    chirp,
+    modal_response,
+)
 
 TASKS = plants.TASKS
 
@@ -314,17 +323,8 @@ class SynthPlan:
 
     task: str
     label_names: tuple[str, ...] | None
-    chirp: np.ndarray
     jobs: list[_Job]
     labels: dict[DatasetKey, tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def bin_hz(self) -> float:
-        return SAMPLE_RATE / len(self.chirp)
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.chirp) // 2 + 1
 
 
 def plan_synthesis(cfg: RunConfig) -> SynthPlan:
@@ -351,7 +351,7 @@ def plan_synthesis(cfg: RunConfig) -> SynthPlan:
         key: (np.concatenate(targets), np.concatenate(sessions))
         for key, (targets, sessions) in parts.items()
     }
-    return SynthPlan(cfg.task, names, chirp(), jobs, labels)
+    return SynthPlan(cfg.task, names, jobs, labels)
 
 
 def synthesize(plan: SynthPlan, sinks: dict[DatasetKey, RowSink]) -> None:
@@ -363,8 +363,8 @@ def synthesize(plan: SynthPlan, sinks: dict[DatasetKey, RowSink]) -> None:
     array is held here.
     """
     clean = modal_response(
-        [plant for _, plant, _, _, _ in plan.jobs], plan.chirp,
-        out=np.empty((len(plan.jobs), len(plan.chirp)), dtype=CLEAN_DTYPE),
+        [plant for _, plant, _, _, _ in plan.jobs], chirp(),
+        out=np.empty((len(plan.jobs), SWEEP_POINTS), dtype=CLEAN_DTYPE),
     )
     filled = dict.fromkeys(sinks, 0)
     chunks = []
@@ -376,14 +376,14 @@ def synthesize(plan: SynthPlan, sinks: dict[DatasetKey, RowSink]) -> None:
                  sinks[key], filled[key] + i)
             )
         filled[key] += seeds.size
-    _fill_spectra(chunks, len(plan.chirp))
+    _fill_spectra(chunks)
 
 
-def synth_task_data(cfg: RunConfig) -> tuple[float, dict[DatasetKey, Dataset]]:
-    """Synthesize a task's datasets in memory: (bin_hz, {key: Dataset})."""
+def synth_task_data(cfg: RunConfig) -> dict[DatasetKey, Dataset]:
+    """Synthesize a task's datasets in memory, one Dataset per key."""
     plan = plan_synthesis(cfg)
     rows = {
-        key: np.empty((targets.size, plan.n_bins))
+        key: np.empty((targets.size, N_BINS))
         for key, (targets, _) in plan.labels.items()
     }
 
@@ -394,7 +394,7 @@ def synth_task_data(cfg: RunConfig) -> tuple[float, dict[DatasetKey, Dataset]]:
         return put
 
     synthesize(plan, {key: array_sink(key) for key in rows})
-    return plan.bin_hz, {
+    return {
         key: Dataset(rows[key], targets, plan.label_names, key[1], sessions)
         for key, (targets, sessions) in plan.labels.items()
     }
@@ -417,7 +417,7 @@ ROWS_DTYPE = np.dtype("<f4")
 CLEAN_DTYPE = np.dtype("<f4")
 
 
-def _fill_spectra(chunks: list, n_samples: int) -> None:
+def _fill_spectra(chunks: list) -> None:
     """Put each (clean, snr_db, seeds, sink, first_row) chunk's |rfft| rows.
 
     Chunks go to a thread pool sized by the CPUs this process may use;
@@ -435,9 +435,9 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
     lock = threading.Lock()
 
     def work() -> None:
-        wide = np.empty(n_samples)
-        noisy = np.empty((_CHUNK_ROWS, n_samples))
-        spectrum = np.empty((_CHUNK_ROWS, n_samples // 2 + 1), dtype=np.complex128)
+        wide = np.empty(SWEEP_POINTS)
+        noisy = np.empty((_CHUNK_ROWS, SWEEP_POINTS))
+        spectrum = np.empty((_CHUNK_ROWS, N_BINS), dtype=np.complex128)
         mags = np.empty(spectrum.shape, dtype=ROWS_DTYPE)
         while True:
             with lock:
@@ -464,20 +464,20 @@ def _fill_spectra(chunks: list, n_samples: int) -> None:
             done.result()
 
 
-def band_slice_for(bin_hz: float, n_bins: int, band: str) -> slice:
+def band_slice_for(n_bins: int, band: str) -> slice:
     """Column slice of a full-spectrum row matrix for a named band.
 
-    Bin k sits at k * bin_hz, and the band keeps the bins with
-    f_low <= k * bin_hz < f_high: the lower edge is inclusive and the
+    Bin k sits at k * BIN_HZ, and the band keeps the bins with
+    f_low <= k * BIN_HZ < f_high: the lower edge is inclusive and the
     upper exclusive, so adjacent bands split the bins with no gap and
     no overlap.
     """
     lo, hi = BANDS[band]
-    start, stop = np.searchsorted(np.arange(n_bins) * bin_hz, (lo, hi))
+    start, stop = np.searchsorted(np.arange(n_bins) * BIN_HZ, (lo, hi))
     if start == stop:
         raise ParameterError(
             f"band {band!r} [{lo}, {hi}) Hz selects none of {n_bins} bins "
-            f"{bin_hz} Hz apart"
+            f"{BIN_HZ} Hz apart"
         )
     return slice(int(start), int(stop))
 
@@ -500,7 +500,7 @@ class TaskModels:
 
 
 def train_task(
-    train: Dataset, bin_hz: float, cfg: RunConfig, kpca_path: Path | None = None
+    train: Dataset, cfg: RunConfig, kpca_path: Path | None = None
 ) -> TaskModels:
     """Band-select, fit kernel PCA, train the estimator.
 
@@ -510,7 +510,7 @@ def train_task(
     there block by block as it is fitted, before the estimator trains,
     and the returned kPCA model holds no projection.
     """
-    sl = band_slice_for(bin_hz, train.rows.shape[1], cfg.band)
+    sl = band_slice_for(train.rows.shape[1], cfg.band)
     sessions = tuple(np.unique(train.session_ids).tolist())
     kpca, embeddings = kpca_fit_transform(
         train.rows[:, sl], cfg.n_components, kpca_path,
@@ -524,7 +524,7 @@ def train_task(
 
 
 def eval_task(
-    models: TaskModels, condition: str, test: Dataset, bin_hz: float
+    models: TaskModels, condition: str, test: Dataset
 ) -> tuple[dict, ConfusionMatrix | RegressionReport]:
     """Project one condition's test rows and score the estimator.
 
@@ -533,7 +533,7 @@ def eval_task(
     """
     assert_sessions_disjoint(models.train_sessions, test)
     lo, hi = BANDS[models.band]
-    sl = band_slice_for(bin_hz, test.rows.shape[1], models.band)
+    sl = band_slice_for(test.rows.shape[1], models.band)
     emb = kpca_transform(models.kpca, test.rows[:, sl])
     emb_ds = Dataset(emb, test.targets, test.label_names, "test", test.session_ids)
     row = {
@@ -570,7 +570,7 @@ def metrics_to_dict(models: TaskModels, rows: list[dict]) -> dict:
 
 @contextlib.contextmanager
 def _dataset_file(
-    path, task: str, key: DatasetKey, bin_hz: float, label_names, n_bins: int,
+    path, task: str, key: DatasetKey, label_names, n_bins: int,
     labels: tuple[np.ndarray, np.ndarray],
 ) -> Iterator[RowSink]:
     """Open dataset `key`'s file and write its labels; yield its row sink.
@@ -588,7 +588,6 @@ def _dataset_file(
         "task": task,
         "condition": key[0],
         "split": key[1],
-        "bin_hz": bin_hz,
         "label_names": list(label_names) if label_names else None,
     }
     dtypes = {"rows": ROWS_DTYPE}
@@ -598,12 +597,10 @@ def _dataset_file(
         yield functools.partial(put, "rows")
 
 
-def write_dataset(
-    ds: Dataset, path: str | Path, task: str, condition: str, bin_hz: float
-) -> Path:
+def write_dataset(ds: Dataset, path: str | Path, task: str, condition: str) -> Path:
     labels = ds.targets, ds.session_ids
     key, n_bins = (condition, ds.split_tag), ds.rows.shape[1]
-    with _dataset_file(path, task, key, bin_hz, ds.label_names, n_bins, labels) as put:
+    with _dataset_file(path, task, key, ds.label_names, n_bins, labels) as put:
         put(0, ds.rows)
     return Path(path)
 
@@ -613,41 +610,37 @@ def open_dataset(
 ) -> contextlib.AbstractContextManager[RowSink]:
     """Open dataset `key` of `plan` as a file; its block yields the row sink."""
     return _dataset_file(
-        path, plan.task, key, plan.bin_hz, plan.label_names, plan.n_bins,
-        plan.labels[key],
+        path, plan.task, key, plan.label_names, N_BINS, plan.labels[key]
     )
 
 
-def _as_dataset(path, arrays: dict, meta: dict) -> tuple[Dataset, dict]:
-    """The file's Dataset, and its metadata with `bin_hz` as a float."""
+def _integers(values: np.ndarray, what: str) -> np.ndarray:
+    """`values` as int64, if each is a finite integer."""
+    if not (np.isfinite(values).all() and np.array_equal(values, np.rint(values))):
+        raise ValueError(f"{what} are not integral")
+    return values.astype(np.int64)
+
+
+def _as_dataset(path, arrays: dict, meta: dict) -> Dataset:
     with built_from(path):
-        label_names = meta.get("label_names")
+        label_names = json_strings(meta.get("label_names"), "label_names")
         targets = arrays["targets"]
-        if label_names is not None:
-            rounded = np.rint(targets)
-            if not np.array_equal(targets, rounded):
-                raise DataError(f"{path}: class targets are not integral")
-            targets = rounded.astype(np.int64)
-        ds = Dataset(
+        return Dataset(
             arrays["rows"],
-            targets,
-            tuple(label_names) if label_names else None,
+            targets if label_names is None else _integers(targets, "class targets"),
+            label_names,
             str(meta["split"]),
-            arrays["session_ids"].astype(np.int64),
+            _integers(arrays["session_ids"], "session ids"),
         )
-        meta = {**meta, "bin_hz": float(meta["bin_hz"])}
-        if not 0 < meta["bin_hz"] < np.inf:
-            raise ValueError(f"bin_hz {meta['bin_hz']} is not positive and finite")
-    return ds, meta
 
 
-def read_dataset(path: str | Path) -> tuple[Dataset, dict]:
+def read_dataset(path: str | Path) -> Dataset:
     _, arrays, meta = read_container(path, expect_kind=PayloadKind.DATASET)
     return _as_dataset(path, arrays, meta)
 
 
 @contextlib.contextmanager
-def read_dataset_lazily(path: str | Path) -> Iterator[tuple[Dataset, dict]]:
+def read_dataset_lazily(path: str | Path) -> Iterator[Dataset]:
     """read_dataset, with the rows left in the file as a DiskMatrix.
 
     The rows are read, in column blocks, only by whoever takes them

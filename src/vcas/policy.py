@@ -9,13 +9,11 @@ expert actions, reusing the MLP machinery from `learn`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .container import built_from, json_int
 # Unused here, but perfbench/tracer.py patches these names in this module,
 # so they stay importable until its SITES table is retired.
 from .container import read_container, write_container  # noqa: F401
@@ -43,7 +41,6 @@ from .learn import (
     load_mlp,
     mlp_forward,
     mlp_train,
-    save_mlp,
 )
 
 PolicyMode = Literal["greedy", "sample"]
@@ -74,30 +71,9 @@ def encode_window(window: Window) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PolicyModel:
-    """Categorical action head over an encoded observation window."""
-
-    net: MlpModel
-    window_length: int
-
-    def __post_init__(self):
-        if self.window_length < 1:
-            raise ParameterError("window_length must be >= 1")
-        if self.net.head != "softmax" or self.net.out_dim != 2:
-            raise ParameterError("policy net must be a 2-way softmax")
-        if self.net.in_dim != TOKEN_COUNT * self.window_length:
-            raise ParameterError(
-                f"net in_dim {self.net.in_dim} does not match "
-                f"window_length {self.window_length}"
-            )
-        if self.net.label_names != ACTION_LABELS:
-            raise ParameterError(f"policy labels must be {ACTION_LABELS}")
-
-
 def policy_train(
     demos: Sequence[DemoPair], cfg: TrainConfig
-) -> tuple[PolicyModel, TrainingHistory]:
+) -> tuple[MlpModel, TrainingHistory]:
     """Fit the action distribution to expert demo pairs.
 
     Mean negative log-likelihood of the expert action given the window
@@ -107,8 +83,7 @@ def policy_train(
     """
     if not demos:
         raise ParameterError("demo set is empty")
-    window_length = len(demos[0].window)
-    if any(len(d.window) != window_length for d in demos):
+    if len({len(d.window) for d in demos}) > 1:
         raise ParameterError("demo windows have mixed lengths")
     actions = {d.action for d in demos}
     if len(actions) < 2:
@@ -118,16 +93,11 @@ def policy_train(
         )
     rows = np.stack([encode_window(d.window) for d in demos])
     data = Dataset(rows, [int(d.action) for d in demos], ACTION_LABELS)
-    net, history = mlp_train(data, cfg)
-    return PolicyModel(net, window_length), history
+    return mlp_train(data, cfg)
 
 
-def _action_probs(model: PolicyModel, window: Window) -> np.ndarray:
-    if len(window) != model.window_length:
-        raise ParameterError(
-            f"window length {len(window)} != model window {model.window_length}"
-        )
-    return mlp_forward(model.net, encode_window(window)[None])[0]
+def _action_probs(net: MlpModel, window: Window) -> np.ndarray:
+    return mlp_forward(net, encode_window(window)[None])[0]
 
 
 def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Action:
@@ -141,8 +111,8 @@ def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Ac
     raise ParameterError(f"unknown mode {mode!r}; use greedy or sample")
 
 
-def as_rollout_policy(model: PolicyModel, mode: PolicyMode = "greedy") -> RolloutPolicy:
-    """Adapt a PolicyModel to the (pose, window, rng) rollout signature.
+def as_rollout_policy(net: MlpModel, mode: PolicyMode = "greedy") -> RolloutPolicy:
+    """Adapt a policy net to the (pose, window, rng) rollout signature.
 
     The returned callable remembers the action distribution of every
     window it has seen, so each distinct window is encoded and run
@@ -155,14 +125,14 @@ def as_rollout_policy(model: PolicyModel, mode: PolicyMode = "greedy") -> Rollou
     def _policy(pose: PoseState, window: Window, rng: np.random.Generator) -> Action:
         probs = memo.get(window)
         if probs is None:
-            probs = memo[window] = _action_probs(model, window)
+            probs = memo[window] = _action_probs(net, window)
         return _choose(probs, mode, rng)
 
     return _policy
 
 
 def policy_eval(
-    model: PolicyModel | RolloutPolicy,
+    model: MlpModel | RolloutPolicy,
     regime: str,
     n_episodes: int,
     m: ObservationModel,
@@ -179,9 +149,9 @@ def policy_eval(
     """
     if n_episodes < 1:
         raise ParameterError("n_episodes must be >= 1")
-    if isinstance(model, PolicyModel):
+    if isinstance(model, MlpModel):
         run = as_rollout_policy(model, mode=mode)
-        window_length = model.window_length
+        window_length = model.in_dim // TOKEN_COUNT
     else:
         run = model
         window_length = WINDOW_LENGTH
@@ -212,14 +182,13 @@ def policy_eval(
     }
 
 
-def save_policy(model: PolicyModel, path: str | Path) -> Path:
-    """Write the policy as an MLP file whose metadata holds window_length."""
-    return save_mlp(model.net, path, {"window_length": model.window_length})
-
-
-def load_policy(path: str | Path) -> PolicyModel:
-    net, meta = load_mlp(path)
-    if "window_length" not in meta:
-        raise DataError(f"{path} is an MLP file without window_length, not a policy")
-    with built_from(path):
-        return PolicyModel(net, json_int(meta["window_length"], "window_length"))
+def load_policy(path: str | Path) -> MlpModel:
+    """Read a policy net: an MLP file labelled with ACTION_LABELS whose
+    input width is TOKEN_COUNT per window step."""
+    net, _ = load_mlp(path)
+    if net.label_names != ACTION_LABELS or net.in_dim % TOKEN_COUNT:
+        raise DataError(
+            f"{path} is not a policy: labels {net.label_names}, input width "
+            f"{net.in_dim} (want {ACTION_LABELS}, a multiple of {TOKEN_COUNT})"
+        )
+    return net

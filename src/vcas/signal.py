@@ -26,6 +26,9 @@ SWEEP_F0 = 20.0
 SWEEP_F1 = 20000.0
 SWEEP_SECONDS = 1.0
 SWEEP_POINTS = 42000
+# Its spectrum: bins 1.05 Hz apart, DC through Nyquist.
+BIN_HZ = SAMPLE_RATE / SWEEP_POINTS
+N_BINS = SWEEP_POINTS // 2 + 1
 
 
 def chirp() -> np.ndarray:

@@ -213,13 +213,13 @@ def test_criterion_5_signal_invariants():
 
 def _task_metric(task, conditions, metric_by_condition):
     cfg = RunConfig(task=task, conditions=conditions, seed=0)
-    bin_hz, data = synth_task_data(cfg)
-    models = train_task(data["in_distribution", "train"], bin_hz, cfg)
+    data = synth_task_data(cfg)
+    models = train_task(data["in_distribution", "train"], cfg)
     got = {}
     for (cond, split), ds in data.items():
         if split != "test":
             continue
-        row, _ = eval_task(models, cond, ds, bin_hz)
+        row, _ = eval_task(models, cond, ds)
         if row["metric"] in metric_by_condition:
             got[cond] = row["value"]
     del data, models

@@ -29,6 +29,7 @@ from vcas.pipeline import (
     write_dataset,
 )
 from vcas.plants import default_preset_path
+from vcas.signal import N_BINS, SWEEP_POINTS
 
 TINY_GRASP = [
     "--set", "sessions_train=2",
@@ -346,10 +347,10 @@ def test_train_without_data_exits_2(tmp_path):
 
 
 def _spoil_rows(path: Path, spoil) -> None:
-    """Rewrite a dataset file with spoil(rows) applied to its float32 rows."""
-    ds, meta = read_dataset(path)
+    """Rewrite a grasp dataset file with spoil(rows) applied to its rows."""
+    ds = read_dataset(path)
     spoil(ds.rows)
-    write_dataset(ds, path, meta["task"], meta["condition"], meta["bin_hz"])
+    write_dataset(ds, path, "grasp", "in_distribution")
 
 
 def _nan_in_last_block(rows):
@@ -495,9 +496,9 @@ def test_eval_without_the_in_distribution_test_file_exits_2(
 def test_eval_without_train_file_still_rejects_a_shared_session(workspace, tmp_path):
     out = _without_train_file(workspace, tmp_path)
     test_path = out / "grasp" / "data" / "in_distribution.test.vcas"
-    test, meta = read_dataset(test_path)
+    test = read_dataset(test_path)
     leaked = replace(test, session_ids=np.zeros(len(test), dtype=np.int64))
-    write_dataset(leaked, test_path, "grasp", "in_distribution", meta["bin_hz"])
+    write_dataset(leaked, test_path, "grasp", "in_distribution")
     assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(out)]) == 1
 
 
@@ -592,7 +593,7 @@ def test_eval_peak_memory_is_bounded_by_the_files_it_reads(tmp_path, capsys):
     )
     n_test = 0
     for path in (grasp / "data").glob("*.test.vcas"):
-        with vcas.pipeline.read_dataset_lazily(path) as (test, _):
+        with vcas.pipeline.read_dataset_lazily(path) as test:
             n_test = max(n_test, len(test))
     # eval reads the test rows and the projection in column blocks, so
     # it holds one block of test rows widened to float64 (n_test x 2,048
@@ -632,7 +633,7 @@ def test_train_peak_memory_is_bounded_by_the_files_it_writes(tmp_path, capsys):
         ["-c", "import vcas.cli"],
         ["-c", "from vcas.cli import run; run()", "train", *args],
     )
-    n_rows = len(read_dataset(grasp / "data" / "in_distribution.train.vcas")[0])
+    n_rows = len(read_dataset(grasp / "data" / "in_distribution.train.vcas"))
     # train reads its rows one column block at a time, widened to
     # float64 (n x 2,048 bins, 4.9 MB), so it holds one block and its
     # finite-check mask, the n x n Gram, its product buffer and the
@@ -672,7 +673,7 @@ def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
         ["-c", "import vcas.cli"], ["-c", "from vcas.cli import run; run()", *args]
     )
     plan = plan_synthesis(RunConfig(task="contact", **sizes))
-    n_samples = len(plan.chirp)
+    n_samples = SWEEP_POINTS
     # Clean responses are held as float32, one row per job.
     clean = len(plan.jobs) * n_samples * np.dtype("<f4").itemsize
     # Each pool worker holds its chunk's clean response widened to
@@ -684,7 +685,7 @@ def test_synth_data_peak_memory_is_bounded_by_the_files_it_writes(tmp_path):
     # holding the rows (90 MB) or float64 clean responses (25 MB more)
     # breaks the bound.
     row_item = vcas.pipeline.ROWS_DTYPE.itemsize
-    chunk_buffers = n_samples * 8 + 4 * (n_samples * 8 + plan.n_bins * (16 + row_item))
+    chunk_buffers = n_samples * 8 + 4 * (n_samples * 8 + N_BINS * (16 + row_item))
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:
@@ -716,10 +717,10 @@ def test_synth_data_files_equal_write_dataset_of_the_in_memory_datasets(
 ):
     args = ["synth-data", *_SYNTH_CASES[case]]
     cfg = config_from_args(build_parser().parse_args(args))
-    bin_hz, data = synth_task_data(cfg)
+    data = synth_task_data(cfg)
     for (cond, split), ds in data.items():
         path = dataset_path(tmp_path / "ref", cfg.task, cond, split)
-        write_dataset(ds, path, cfg.task, cond, bin_hz)
+        write_dataset(ds, path, cfg.task, cond)
     want = {p.relative_to(tmp_path / "ref"): p.read_bytes()
             for p in (tmp_path / "ref").rglob("*.vcas")}
     if case == "contact":
@@ -811,6 +812,64 @@ def test_an_mlp_failing_after_the_projection_leaves_no_pair_eval_scores(
     else:
         assert line == f"error: no model at {models / 'mlp_full.vcas'}; run train first"
     assert not (tmp_path / "grasp" / "eval").exists()
+
+
+def _edit_container(path: Path, edit) -> None:
+    kind, arrays, meta = read_container(path)
+    edit(arrays, meta)
+    write_container(path, kind, arrays, meta)
+
+
+@pytest.mark.parametrize("case", ["kpca offset edited", "no fit_id in either file"])
+def test_eval_refuses_a_kpca_file_that_is_not_its_mlps_fit(
+    workspace, tmp_path, capsys, case
+):
+    # The kPCA file's fit is the hash of its own eigenvalues and offset,
+    # so neither a fit_id left in its metadata nor a missing one pairs it.
+    for part in ("data", "models"):
+        shutil.copytree(workspace / "grasp" / part, tmp_path / "grasp" / part)
+    models = tmp_path / "grasp" / "models"
+    mlp_fit = read_container(models / "mlp_full.vcas")[2]["fit_id"]
+    if case == "kpca offset edited":
+        _edit_container(
+            models / "kpca_full.vcas",
+            lambda a, m: (a.update(offset=a["offset"] + 1.0), m.update(fit_id=mlp_fit)),
+        )
+    else:
+        _edit_container(models / "mlp_full.vcas", lambda a, m: m.pop("fit_id"))
+    capsys.readouterr()
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {models / 'mlp_full.vcas'} was trained on")
+    assert f"{models / 'kpca_full.vcas'} holds fit" in line
+    assert not (tmp_path / "grasp" / "eval").exists()
+
+
+def test_files_with_the_metadata_keys_of_earlier_versions_still_read(
+    workspace, sim_workspace, tmp_path
+):
+    # Datasets used to store bin_hz, kPCA files their fit_id and policies
+    # their window_length; readers ignore those keys.
+    shutil.copytree(workspace / "grasp", tmp_path / "grasp")
+    shutil.copytree(sim_workspace / "sim", tmp_path / "sim")
+    for path in (tmp_path / "grasp" / "data").glob("*.vcas"):
+        _edit_container(path, lambda a, m: m.update(bin_hz=1.05))
+    kpca_path = tmp_path / "grasp" / "models" / "kpca_full.vcas"
+    with load_kpca(kpca_path) as (kpca, _):
+        fit_id = kpca.fit_id
+    _edit_container(kpca_path, lambda a, m: m.update(fit_id=fit_id))
+    _edit_container(tmp_path / "sim" / "policy.vcas",
+                    lambda a, m: m.update(window_length=10))
+    assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 0
+    name = "grasp/eval/metrics_full.json"
+    assert (tmp_path / name).read_bytes() == (workspace / name).read_bytes()
+    fresh = tmp_path / "fresh"
+    shutil.copytree(sim_workspace / "sim", fresh / "sim")
+    for out in (tmp_path, fresh):
+        argv = ["sim", "eval-policy", "--episodes", "20", "--obs", "identity"]
+        assert main([*argv, "--out", str(out)]) == 0
+    name = "sim/eval_fixed.json"
+    assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_help_exits_0(capsys):
@@ -913,7 +972,7 @@ def test_sim_train_policy_unknown_key_exits_1(sim_workspace, capsys):
 def test_sim_eval_policy_rejects_a_recognition_mlp(workspace, tmp_path, capsys):
     mlp = workspace / "grasp" / "models" / "mlp_full.vcas"
     assert main(["sim", "eval-policy", "--policy", str(mlp), "--out", str(tmp_path)]) == 2
-    assert "window_length" in capsys.readouterr().err
+    assert f"{mlp} is not a policy" in capsys.readouterr().err
 
 
 def test_sim_eval_policy_rejects_a_policy_file_of_the_retired_kind(tmp_path, capsys):
@@ -1084,14 +1143,8 @@ _MALFORMED_VCAS = {
         "grasp/models/mlp_full.vcas", lambda a, m: m.update(head="tanh")
     ),
     "policy without n_layers": ("sim/policy.vcas", lambda a, m: m.pop("n_layers")),
-    "policy window_length 'ten'": (
-        "sim/policy.vcas", lambda a, m: m.update(window_length="ten")
-    ),
-    "policy window_length 10.0": (
-        "sim/policy.vcas", lambda a, m: m.update(window_length=10.0)
-    ),
-    "policy window_length not the net's": (
-        "sim/policy.vcas", lambda a, m: m.update(window_length=11)
+    "mlp label_names 'abc'": (
+        "grasp/models/mlp_full.vcas", lambda a, m: m.update(label_names="abc")
     ),
     "kpca without eigenvalues": (
         "grasp/models/kpca_full.vcas", lambda a, m: a.pop("eigenvalues")
@@ -1108,11 +1161,13 @@ _MALFORMED_VCAS = {
     "dataset without split": (
         "grasp/data/in_distribution.test.vcas", lambda a, m: m.pop("split")
     ),
-    "dataset bin_hz 'abc'": (
-        "grasp/data/in_distribution.test.vcas", lambda a, m: m.update(bin_hz="abc")
+    "dataset label_names 'abc'": (
+        "grasp/data/in_distribution.test.vcas",
+        lambda a, m: m.update(label_names="abc"),
     ),
-    "dataset bin_hz 0": (
-        "grasp/data/in_distribution.test.vcas", lambda a, m: m.update(bin_hz=0)
+    "dataset session id 2.5": (
+        "grasp/data/in_distribution.test.vcas",
+        lambda a, m: a.update(session_ids=a["session_ids"] + 0.5),
     ),
     "dataset targets shorter than rows": (
         "grasp/data/in_distribution.test.vcas",
@@ -1133,9 +1188,7 @@ def test_a_vcas_file_with_malformed_contents_exits_2_with_one_error_line(
     shutil.copytree(workspace / "grasp", tmp_path / "grasp")
     shutil.copytree(sim_workspace / "sim", tmp_path / "sim")
     path = tmp_path / name
-    kind, arrays, meta = read_container(path)
-    edit(arrays, meta)
-    write_container(path, kind, arrays, meta)
+    _edit_container(path, edit)
     if name.startswith("sim/"):
         command = ["sim", "eval-policy", "--episodes", "1"]
     else:

@@ -8,7 +8,7 @@ from _oracles import band_bins, kpca_reference
 import vcas.pipeline
 from vcas import features
 from vcas.cli import cmd_synth_data
-from vcas.container import PayloadKind, write_container
+from vcas.container import PayloadKind, read_container, write_container
 from vcas.errors import DataError, ParameterError
 from vcas.features import kpca_fit, kpca_fit_transform, load_kpca, save_kpca
 from vcas.learn import ConfusionMatrix, Dataset, TrainConfig
@@ -30,7 +30,14 @@ from vcas.pipeline import (
     write_dataset,
     write_json,
 )
-from vcas.signal import ModalPlant, chirp, modal_response, noise_std_for_snr
+from vcas.signal import (
+    BIN_HZ,
+    N_BINS,
+    ModalPlant,
+    chirp,
+    modal_response,
+    noise_std_for_snr,
+)
 
 
 def tiny_grasp_config(seed=0, **overrides):
@@ -50,8 +57,7 @@ def grasp_data():
 
 @pytest.fixture(scope="module")
 def grasp_models(grasp_data):
-    bin_hz, data = grasp_data
-    return train_task(data["in_distribution", "train"], bin_hz, tiny_grasp_config())
+    return train_task(grasp_data["in_distribution", "train"], tiny_grasp_config())
 
 
 # -------------------------------------------------------------- config
@@ -106,7 +112,7 @@ def test_preset_task_mismatch_is_rejected():
 
 
 def test_grasp_synthesis_shapes(grasp_data):
-    _, data = grasp_data
+    data = grasp_data
     assert {cond for cond, _ in data} == {"in_distribution", "perturbed"}
     train, test = data["in_distribution", "train"], data["in_distribution", "test"]
     for ds in (train, test, data["perturbed", "test"]):
@@ -119,7 +125,7 @@ def test_grasp_synthesis_shapes(grasp_data):
 
 
 def test_grasp_sessions_are_disjoint(grasp_data):
-    _, data = grasp_data
+    data = grasp_data
     train_sessions = set(data["in_distribution", "train"].session_ids.tolist())
     test_sessions = set(data["in_distribution", "test"].session_ids.tolist())
     perturbed_sessions = set(data["perturbed", "test"].session_ids.tolist())
@@ -129,7 +135,7 @@ def test_grasp_sessions_are_disjoint(grasp_data):
 
 
 def test_grasp_labels_balanced(grasp_data):
-    _, data = grasp_data
+    data = grasp_data
     train = data["in_distribution", "train"]
     counts = np.bincount(train.targets, minlength=3)
     assert counts.tolist() == [4, 4, 4]
@@ -137,17 +143,17 @@ def test_grasp_labels_balanced(grasp_data):
 
 def test_synthesis_deterministic_by_seed(grasp_data):
     key = ("in_distribution", "train")
-    _, data = grasp_data
-    _, again = synth_task_data(tiny_grasp_config())
+    data = grasp_data
+    again = synth_task_data(tiny_grasp_config())
     a = data[key].rows
     b = again[key].rows
     assert a.tobytes() == b.tobytes()
-    _, other = synth_task_data(tiny_grasp_config(seed=1))
+    other = synth_task_data(tiny_grasp_config(seed=1))
     assert a.tobytes() != other[key].rows.tobytes()
 
 
 def test_perturbed_rows_differ_from_in_distribution(grasp_data):
-    _, data = grasp_data
+    data = grasp_data
     a = data["in_distribution", "test"].rows
     b = data["perturbed", "test"].rows
     assert a.shape == b.shape
@@ -160,7 +166,7 @@ def test_pose_synthesis_regression_targets():
         train_per_class=1, test_per_class=1,
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
-    _, data = synth_task_data(cfg)
+    data = synth_task_data(cfg)
     train = data["in_distribution", "train"]
     assert train.label_names is None
     assert len(train) == 18
@@ -173,7 +179,7 @@ def test_contact_synthesis_tiny():
         train_per_class=5, test_per_class=4,
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
-    _, data = synth_task_data(cfg)
+    data = synth_task_data(cfg)
     train, test = data["in_distribution", "train"], data["in_distribution", "test"]
     for ds in (train, test):
         assert ds.label_names == ("diagonal", "in_hole", "line")
@@ -202,7 +208,7 @@ def _fixed_jobs(cfg, preset):
 
 def test_synthesized_rows_equal_the_per_row_reference(monkeypatch):
     monkeypatch.setattr(vcas.pipeline, "_class_bank_jobs", _fixed_jobs)
-    _, data = synth_task_data(RunConfig(task="grasp", conditions=("in_distribution",)))
+    data = synth_task_data(RunConfig(task="grasp", conditions=("in_distribution",)))
     _, jobs = _fixed_jobs(None, None)
     clean = modal_response([plant for _, plant, _, _, _ in jobs], chirp())
     want = {"train": ([], [], []), "test": ([], [], [])}
@@ -228,14 +234,13 @@ def test_synthesized_rows_equal_the_rows_synth_data_writes(tmp_path):
     # Rows are rounded to float32 once, before either sink sees them, so
     # the in-memory datasets hold exactly what the files store.
     cfg = tiny_grasp_config(seed=3)
-    bin_hz, data = synth_task_data(cfg)
+    data = synth_task_data(cfg)
     paths = cmd_synth_data(cfg, tmp_path)
     assert len(paths) == len(data) == 3
     for (cond, split), ds in data.items():
         path = dataset_path(tmp_path, "grasp", cond, split)
         assert path.stat().st_size < ds.rows.size * 4 + 1000  # stored <f4
-        stored, meta = read_dataset(path)
-        assert meta["bin_hz"] == bin_hz
+        stored = read_dataset(path)
         assert stored.rows.tobytes() == ds.rows.tobytes(), (cond, split)
         assert ds.rows.astype(np.float32).astype(np.float64).tobytes() == (
             ds.rows.tobytes()
@@ -258,7 +263,7 @@ def test_synthesis_is_the_same_with_one_worker_or_four(monkeypatch):
             vcas.pipeline.os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)),
             raising=False,
         )
-        runs.append(synth_task_data(cfg)[1])
+        runs.append(synth_task_data(cfg))
     assert pools == [1, 4]
     one, four = runs
     assert set(one) == set(four)
@@ -291,40 +296,37 @@ def test_train_task_builds_models(grasp_data, grasp_models):
     assert grasp_models.kpca.projection.shape == (20980, 3)  # full band
     assert grasp_models.train_sessions == (0, 1)
     assert grasp_models.mlp.in_dim == 3
-    _, data = grasp_data
+    data = grasp_data
     train = data["in_distribution", "train"]
     assert grasp_models.mlp.label_names == train.label_names
     assert grasp_models.history is not None
 
 
 def test_band_slice_values():
-    assert band_slice_for(1.05, 21001, "full") == slice(20, 21000)
-    assert band_slice_for(1.05, 21001, "low") == slice(20, 8753)
-    assert band_slice_for(1.05, 21001, "high") == slice(8753, 21000)
+    assert band_slice_for(N_BINS, "full") == slice(20, 21000)
+    assert band_slice_for(N_BINS, "low") == slice(20, 8753)
+    assert band_slice_for(N_BINS, "high") == slice(8753, 21000)
 
 
 def test_band_slice_keeps_band_selects_edge_rule():
-    # At 10 Hz per bin every band edge sits exactly on a bin: the lower
-    # edge's bin is kept and the upper edge's is not.
-    assert band_slice_for(10.0, 3000, "low") == slice(2, 919)
-    assert band_slice_for(10.0, 3000, "high") == slice(919, 2205)
-    for bin_hz, n_bins in ((10.0, 3000), (1.05, 21001), (7.3, 4000)):
+    # Bins sit BIN_HZ apart whatever the row width; the 22,050 Hz edge
+    # lands on bin 21,000, which is not kept.
+    for n_bins in (8760, N_BINS, 30000):
         kept = {}
         for band, (lo, hi) in BANDS.items():
-            kept[band] = np.arange(n_bins)[band_slice_for(bin_hz, n_bins, band)]
-            want = np.flatnonzero(band_bins(bin_hz, n_bins, lo, hi))
+            kept[band] = np.arange(n_bins)[band_slice_for(n_bins, band)]
+            want = np.flatnonzero(band_bins(BIN_HZ, n_bins, lo, hi))
             assert np.array_equal(kept[band], want)
         # low and high split full with no gap and no overlap.
         both = np.concatenate([kept["low"], kept["high"]])
         assert np.array_equal(both, kept["full"])
     with pytest.raises(ParameterError, match="selects none"):
-        band_slice_for(1.05, 100, "high")
+        band_slice_for(100, "high")
 
 
 def test_low_band_training(grasp_data):
     cfg = tiny_grasp_config(band="low")
-    bin_hz, data = grasp_data
-    models = train_task(data["in_distribution", "train"], bin_hz, cfg)
+    models = train_task(grasp_data["in_distribution", "train"], cfg)
     assert models.kpca.projection.shape[0] == 8753 - 20
 
 
@@ -332,10 +334,9 @@ def test_low_band_training(grasp_data):
 
 
 def _score_each(models, grasp_data):
-    bin_hz, data = grasp_data
     return {
-        cond: eval_task(models, cond, ds, bin_hz)
-        for (cond, split), ds in data.items()
+        cond: eval_task(models, cond, ds)
+        for (cond, split), ds in grasp_data.items()
         if split == "test"
     }
 
@@ -362,24 +363,23 @@ def test_eval_task_scores_a_regressor_with_a_per_target_report():
         train_per_class=1, test_per_class=1, n_components=3,
         conditions=("in_distribution",), train=TrainConfig(max_epochs=2), seed=0,
     )
-    bin_hz, data = synth_task_data(cfg)
+    data = synth_task_data(cfg)
     test = data["in_distribution", "test"]
-    models = train_task(data["in_distribution", "train"], bin_hz, cfg)
-    row, report = eval_task(models, "in_distribution", test, bin_hz)
+    models = train_task(data["in_distribution", "train"], cfg)
+    row, report = eval_task(models, "in_distribution", test)
     assert row["metric"] == "rmse_deg"
     assert row["value"] == report.rmse
     assert report.per_target_count.sum() == len(test)
 
 
 def test_eval_task_rejects_a_test_session_seen_in_training(grasp_data, grasp_models):
-    bin_hz, data = grasp_data
-    test = data["in_distribution", "test"]
+    test = grasp_data["in_distribution", "test"]
     leaked = Dataset(
         test.rows, test.targets, test.label_names, "test",
         np.full(len(test), grasp_models.train_sessions[-1]),
     )
     with pytest.raises(ParameterError, match="share sessions"):
-        eval_task(grasp_models, "in_distribution", leaked, bin_hz)
+        eval_task(grasp_models, "in_distribution", leaked)
 
 
 def test_metrics_to_dict_shape(grasp_data, grasp_models):
@@ -396,23 +396,26 @@ def test_metrics_to_dict_shape(grasp_data, grasp_models):
 
 
 def test_dataset_round_trip(tmp_path, grasp_data):
-    _, data = grasp_data
+    data = grasp_data
     ds = data["in_distribution", "test"]
-    path = write_dataset(ds, tmp_path / "d.vcas", "grasp", "in_distribution", 1.05)
-    loaded, meta = read_dataset(path)
+    path = write_dataset(ds, tmp_path / "d.vcas", "grasp", "in_distribution")
+    loaded = read_dataset(path)
     assert loaded.rows.tobytes() == ds.rows.tobytes()
     assert np.array_equal(loaded.targets, ds.targets)
     assert loaded.label_names == ds.label_names
     assert loaded.split_tag == "test"
     assert np.array_equal(loaded.session_ids, ds.session_ids)
-    assert meta["bin_hz"] == 1.05
-    assert meta["condition"] == "in_distribution"
+    meta = read_container(path)[2]
+    assert meta == {
+        "task": "grasp", "condition": "in_distribution", "split": "test",
+        "label_names": ["base", "middle", "tip"],
+    }
 
 
 def test_dataset_round_trip_regression(tmp_path):
     ds = Dataset(np.ones((3, 4)), np.array([0.0, 85.0, 170.0]))
-    loaded, _ = read_dataset(
-        write_dataset(ds, tmp_path / "r.vcas", "pose", "in_distribution", 1.05)
+    loaded = read_dataset(
+        write_dataset(ds, tmp_path / "r.vcas", "pose", "in_distribution")
     )
     assert loaded.label_names is None
     assert np.array_equal(loaded.targets, ds.targets)
@@ -430,7 +433,7 @@ def test_dataset_rejects_non_integral_class_targets(tmp_path):
         },
         {
             "task": "grasp", "condition": "in_distribution", "split": "test",
-            "bin_hz": 1.05, "label_names": ["a", "b"],
+            "label_names": ["a", "b"],
         },
     )
     with pytest.raises(DataError, match="integral"):
@@ -441,13 +444,12 @@ def test_dataset_rejects_non_integral_class_targets(tmp_path):
 def test_kpca_fits_a_file_and_an_array_of_the_same_rows_to_the_same_bits(
     tmp_path, grasp_data, band
 ):
-    bin_hz, data = grasp_data
-    train = data["in_distribution", "train"]
-    path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution", 1.05)
-    sl = band_slice_for(bin_hz, train.rows.shape[1], band)
+    train = grasp_data["in_distribution", "train"]
+    path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution")
+    sl = band_slice_for(train.rows.shape[1], band)
     assert sl.stop - sl.start > 2 * features._BLOCK_BINS  # several blocks
     in_memory, emb = kpca_fit_transform(train.rows[:, sl], 3)
-    with read_dataset_lazily(path) as (on_disk, _):
+    with read_dataset_lazily(path) as on_disk:
         from_file, emb_file = kpca_fit_transform(on_disk.rows[:, sl], 3)
     for name in ("projection", "offset", "eigenvalues", "explained_variance_ratio"):
         got, want = getattr(from_file, name), getattr(in_memory, name)
@@ -472,14 +474,13 @@ def test_a_streamed_kpca_fit_writes_the_file_save_kpca_writes(
     # A band of the rows of a dataset file (or of the same rows in
     # memory); every band's bin count leaves its last column block
     # partial.
-    bin_hz, data = grasp_data
-    train = data["in_distribution", "train"]
-    sl = band_slice_for(bin_hz, train.rows.shape[1], band)
+    train = grasp_data["in_distribution", "train"]
+    sl = band_slice_for(train.rows.shape[1], band)
     assert (sl.stop - sl.start) % features._BLOCK_BINS
-    path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution", 1.05)
+    path = write_dataset(train, tmp_path / "t.vcas", "grasp", "in_distribution")
     meta = {"train_sessions": [0, 1]}
     got_path = tmp_path / "models" / "got.vcas"
-    with read_dataset_lazily(path) as (on_disk, _):
+    with read_dataset_lazily(path) as on_disk:
         rows = (on_disk.rows if source == "file" else train.rows)[:, sl]
         want = save_kpca(kpca_fit(rows, 3), tmp_path / "want.vcas", meta)
         _, want_emb = kpca_fit_transform(rows, 3)
@@ -488,7 +489,8 @@ def test_a_streamed_kpca_fit_writes_the_file_save_kpca_writes(
     assert emb.tobytes() == want_emb.tobytes()
     assert model.projection is None
     with load_kpca(want) as (saved, saved_meta):
-        assert model.fit_id == saved_meta["fit_id"] == saved.fit_id
+        assert saved_meta == meta
+        assert model.fit_id == saved.fit_id
         assert model.n_components == saved.n_components == 3
         for name in ("offset", "eigenvalues", "explained_variance_ratio"):
             assert getattr(model, name).tobytes() == getattr(saved, name).tobytes()
@@ -498,8 +500,7 @@ def test_a_streamed_kpca_fit_writes_the_file_save_kpca_writes(
 def test_train_task_writes_its_kpca_file_before_the_mlp_trains(
     tmp_path, grasp_data, monkeypatch
 ):
-    bin_hz, data = grasp_data
-    train = data["in_distribution", "train"]
+    train = grasp_data["in_distribution", "train"]
     kpca_path = tmp_path / "kpca_full.vcas"
     trained_after = []
     mlp_train = vcas.pipeline.mlp_train
@@ -509,10 +510,10 @@ def test_train_task_writes_its_kpca_file_before_the_mlp_trains(
         return mlp_train(*args, **kwargs)
 
     monkeypatch.setattr(vcas.pipeline, "mlp_train", spy)
-    models = train_task(train, bin_hz, tiny_grasp_config(), kpca_path)
+    models = train_task(train, tiny_grasp_config(), kpca_path)
     assert trained_after == [True]
     assert models.kpca.projection is None
-    in_memory = train_task(train, bin_hz, tiny_grasp_config())
+    in_memory = train_task(train, tiny_grasp_config())
     want = save_kpca(in_memory.kpca, tmp_path / "want.vcas",
                      {"train_sessions": list(in_memory.train_sessions)})
     assert kpca_path.read_bytes() == want.read_bytes()

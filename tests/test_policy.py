@@ -17,18 +17,16 @@ from vcas.envsim import (
     grid_poses,
     rollout,
 )
-from vcas.errors import ParameterError
-from vcas.learn import MlpModel, TrainConfig, load_mlp, mlp_loss
+from vcas.errors import DataError, ParameterError
+from vcas.learn import MlpModel, TrainConfig, load_mlp, mlp_loss, save_mlp
 from vcas.pipeline import write_json
 from vcas.policy import (
     TOKEN_COUNT,
-    PolicyModel,
     as_rollout_policy,
     encode_window,
     load_policy,
     policy_eval,
     policy_train,
-    save_policy,
 )
 
 IDENTITY = ObservationModel.identity()
@@ -45,30 +43,27 @@ def policy_act(model, window, mode="greedy", rng=None):
 
 def zero_policy(window_length=10):
     in_dim = TOKEN_COUNT * window_length
-    net = MlpModel(
+    return MlpModel(
         [np.zeros((in_dim, 2))], [np.zeros(2)], "softmax",
         label_names=("rot_x", "rot_z"),
     )
-    return PolicyModel(net, window_length)
 
 
 def biased_policy(bias, window_length=2):
     in_dim = TOKEN_COUNT * window_length
-    net = MlpModel(
+    return MlpModel(
         [np.zeros((in_dim, 2))], [np.asarray(bias, dtype=float)], "softmax",
         label_names=("rot_x", "rot_z"),
     )
-    return PolicyModel(net, window_length)
 
 
 def random_policy(seed, window_length=10):
     """Untrained net whose actions vary with the window."""
     rng = np.random.default_rng(seed)
-    net = MlpModel(
+    return MlpModel(
         [rng.normal(size=(TOKEN_COUNT * window_length, 2))], [np.zeros(2)],
         "softmax", label_names=("rot_x", "rot_z"),
     )
-    return PolicyModel(net, window_length)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +125,7 @@ def test_uniform_policy_nll_is_ln_two():
     demos = generate_demos(5, "interpolated", IDENTITY, seed=3)
     rows = np.stack([encode_window(d.window) for d in demos])
     targets = np.array([int(d.action == Action.ROT_Z) for d in demos])
-    loss = mlp_loss(zero_policy().net, (rows, targets))
+    loss = mlp_loss(zero_policy(), (rows, targets))
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -140,20 +135,9 @@ def test_duplicated_demos_do_not_move_the_loss(trained):
     rows = np.stack([encode_window(d.window) for d in sample])
     targets = np.array([int(d.action == Action.ROT_Z) for d in sample])
     doubled = (np.tile(rows, (2, 1)), np.tile(targets, 2))
-    assert mlp_loss(model.net, (rows, targets)) == pytest.approx(
-        mlp_loss(model.net, doubled), abs=1e-12
+    assert mlp_loss(model, (rows, targets)) == pytest.approx(
+        mlp_loss(model, doubled), abs=1e-12
     )
-
-
-def test_policy_model_validation():
-    net = MlpModel([np.zeros((8, 3))], [np.zeros(3)], "softmax",
-                   label_names=("a", "b", "c"))
-    with pytest.raises(ParameterError):
-        PolicyModel(net, 2)  # three-way head
-    bad_dim = MlpModel([np.zeros((9, 2))], [np.zeros(2)], "softmax",
-                       label_names=("rot_x", "rot_z"))
-    with pytest.raises(ParameterError):
-        PolicyModel(bad_dim, 2)  # 9 != 4 * 2
 
 
 # -------------------------------------------------------------- acting
@@ -173,7 +157,7 @@ def test_sample_mode_follows_the_distribution():
 
 def test_act_validation():
     model = zero_policy(2)
-    with pytest.raises(ParameterError, match="window length"):
+    with pytest.raises(ParameterError, match="in_dim 8"):
         policy_act(model, (None,) * 3)
     with pytest.raises(ParameterError, match="rng"):
         policy_act(model, (None, None), mode="sample")
@@ -183,9 +167,10 @@ def test_act_validation():
 
 def test_trained_policy_reads_line_window_as_rot_x(trained):
     model, _, _ = trained
-    window = (ContactType.LINE,) * model.window_length
+    window_length = model.in_dim // TOKEN_COUNT
+    window = (ContactType.LINE,) * window_length
     assert policy_act(model, window) == Action.ROT_X
-    diag = (None,) * (model.window_length - 1) + (ContactType.DIAGONAL,)
+    diag = (None,) * (window_length - 1) + (ContactType.DIAGONAL,)
     assert policy_act(model, diag) == Action.ROT_Z
 
 
@@ -287,13 +272,30 @@ def test_eval_report_json(tmp_path):
 
 def test_policy_save_load_round_trip(tmp_path, trained):
     model, _, _ = trained
-    path = save_policy(model, tmp_path / "p.vcas")
-    assert load_mlp(path)[1]["window_length"] == model.window_length
+    path = save_mlp(model, tmp_path / "p.vcas")
+    assert "window_length" not in load_mlp(path)[1]
     loaded = load_policy(path)
-    assert loaded.window_length == model.window_length
+    assert loaded.in_dim == model.in_dim == TOKEN_COUNT * 10
     window = (None,) * 9 + (ContactType.DIAGONAL,)
     assert policy_act(model, window) == policy_act(loaded, window)
     assert all(
-        x.tobytes() == y.tobytes()
-        for x, y in zip(model.net.weights, loaded.net.weights)
+        x.tobytes() == y.tobytes() for x, y in zip(model.weights, loaded.weights)
     )
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        MlpModel([np.zeros((8, 3))], [np.zeros(3)], "softmax",
+                 label_names=("a", "b", "c")),
+        MlpModel([np.zeros((8, 2))], [np.zeros(2)], "softmax",
+                 label_names=("rot_z", "rot_x")),
+        MlpModel([np.zeros((9, 2))], [np.zeros(2)], "softmax",
+                 label_names=("rot_x", "rot_z")),
+    ],
+    ids=["three-way head", "labels out of order", "width 9"],
+)
+def test_load_policy_refuses_an_mlp_that_is_not_a_policy(tmp_path, net):
+    path = save_mlp(net, tmp_path / "p.vcas")
+    with pytest.raises(DataError, match="is not a policy"):
+        load_policy(path)
