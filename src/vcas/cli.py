@@ -125,6 +125,10 @@ class _SimOptions:
     obs_accuracy: float = OBS_ACCURACY
     seed: int = 0
 
+    def __post_init__(self):
+        if not (0 < self.obs_accuracy <= 1):
+            raise ParameterError(f"obs_accuracy must be in (0, 1], got {self.obs_accuracy}")
+
     def observation_model(self) -> ObservationModel:
         if self.obs == "default":
             return ObservationModel.default(self.obs_accuracy)
@@ -420,15 +424,12 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
         )
         return [write_json(payload, sim_dir / f"eval_{options.regime}.json")]
     if subcommand == "rollout":
-        if options.policy == "expert":
-            policy_fn, window_length = expert_policy, WINDOW_LENGTH
-        else:
-            policy_path = Path(options.policy)
-            if not policy_path.exists():
-                raise DataError(f"no policy at {policy_path}")
-            net = load_policy(policy_path)
-            policy_fn = as_rollout_policy(net, mode=options.mode)
-            window_length = net.in_dim // TOKEN_COUNT
+        policy = expert_policy
+        if options.policy != "expert":
+            if not Path(options.policy).exists():
+                raise DataError(f"no policy at {options.policy}")
+            policy = load_policy(options.policy)
+        policy_fn, window_length = as_rollout_policy(policy, options.mode)
         try:
             x_str, z_str = options.start.split(",")
             start = PoseState(float(x_str), float(z_str))
@@ -444,8 +445,7 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
             max_steps=options.max_steps,
             window_length=window_length,
         )
-        trace = episode_to_dict(episode)
-        trace["length"] = len(episode.steps)
+        trace = dict(episode_to_dict(episode), seed=options.seed, length=len(episode.steps))
         print(json.dumps(trace, indent=2, sort_keys=True))
         return [write_json(trace, sim_dir / "rollout.json")]
     raise ParameterError(f"unknown sim subcommand {subcommand!r}")

@@ -49,10 +49,6 @@ class Action(IntEnum):
     ROT_X = 0
     ROT_Z = 1
 
-    @property
-    def label(self) -> str:
-        return ACTION_LABELS[self]
-
 
 ACTION_LABELS = ("rot_x", "rot_z")
 
@@ -113,10 +109,6 @@ def expert_action(p: PoseState) -> Action | None:
     if p.theta_x < GRID_MAX:
         return Action.ROT_X
     return None
-
-
-def expert_path_length(p: PoseState) -> int:
-    return int(round((GRID_MAX - p.theta_z + GRID_MAX - p.theta_x) / GRID_STEP))
 
 
 @dataclass(frozen=True)
@@ -208,33 +200,20 @@ class DemoPair:
 
 @dataclass(frozen=True)
 class EpisodeStep:
+    """One step: the true contact, the window the policy acted on (the
+    observation of that contact last), the action and the pose it led to."""
+
     true_contact: ContactType
-    observed_contact: ContactType
+    window: Window
     action: Action
     next_pose: PoseState
 
 
 @dataclass(frozen=True)
 class Episode:
-    """Full rollout trace.
-
-    `seed` is the integer the rollout rng was created from, so the
-    episode can be replayed bit for bit.
-    """
-
     start: PoseState
     steps: tuple[EpisodeStep, ...]
     success: bool
-    seed: int
-
-    def __post_init__(self):
-        if len(self.steps) > MAX_EPISODE_STEPS:
-            raise ParameterError(f"episode exceeds {MAX_EPISODE_STEPS} steps")
-        object.__setattr__(self, "steps", tuple(self.steps))
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
 
 def start_pose_sampler(regime: str, seed) -> PoseState:
@@ -275,27 +254,18 @@ def generate_demos(
 ) -> list[DemoPair]:
     """Expert rollouts recorded as (observation window, action) pairs.
 
-    Each step samples an observation of the current true contact,
-    pushes it into the left-padded window, and records the window with
-    the expert's action.  Deterministic given the seed.
+    Each episode has its own generator, split from the seed, which draws
+    the start pose and then the rollout's observations.  No expert path
+    reaches the step cap, so every episode ends in the hole.
     """
     if n_episodes < 1:
         raise ParameterError("n_episodes must be >= 1")
-    if window_length < 1:
-        raise ParameterError("window_length must be >= 1")
     demos: list[DemoPair] = []
     for child in np.random.SeedSequence(seed).spawn(n_episodes):
         rng = np.random.default_rng(child)
-        pose = start_pose_sampler(start_distribution, rng)
-        window = deque([None] * window_length, maxlen=window_length)
-        while True:
-            action = expert_action(pose)
-            if action is None:
-                break
-            obs = sample_observation(m, contact_type(pose.theta_x, pose.theta_z), rng)
-            window.append(obs)
-            demos.append(DemoPair(tuple(window), action))
-            pose = step(pose, action)
+        start = start_pose_sampler(start_distribution, rng)
+        ep = rollout(expert_policy, start, m, rng, window_length=window_length)
+        demos.extend(DemoPair(s.window, s.action) for s in ep.steps)
     return demos
 
 
@@ -303,14 +273,17 @@ def rollout(
     policy: RolloutPolicy,
     start: PoseState,
     m: ObservationModel,
-    seed: int,
+    seed,
     max_steps: int = MAX_EPISODE_STEPS,
     window_length: int = WINDOW_LENGTH,
 ) -> Episode:
     """Observe, act, repeat until true in-hole contact or max_steps.
 
-    Termination uses the true contact only; an observed in-hole label
-    neither ends the episode nor is withheld from the policy.
+    `seed` is anything `np.random.default_rng` takes; a Generator is
+    drawn from as it is.  Each step draws one observation, then the
+    policy acts on the window ending in it.  Termination uses the true
+    contact only; an observed in-hole label neither ends the episode
+    nor is withheld from the policy.
     """
     if not (1 <= max_steps <= MAX_EPISODE_STEPS):
         raise ParameterError(
@@ -322,23 +295,19 @@ def rollout(
     pose = start
     window = deque([None] * window_length, maxlen=window_length)
     steps: list[EpisodeStep] = []
-    success = False
     for _ in range(max_steps):
         true_c = contact_type(pose.theta_x, pose.theta_z)
         if true_c == ContactType.IN_HOLE:
-            success = True
             break
-        obs = sample_observation(m, true_c, rng)
-        window.append(obs)
-        action = policy(pose, tuple(window), rng)
+        window.append(sample_observation(m, true_c, rng))
+        seen = tuple(window)
+        action = policy(pose, seen, rng)
         if action is None:
             raise ParameterError("policy returned no action before the goal")
-        next_pose = step(pose, action)
-        steps.append(EpisodeStep(true_c, obs, action, next_pose))
-        pose = next_pose
-    else:
-        success = contact_type(pose.theta_x, pose.theta_z) == ContactType.IN_HOLE
-    return Episode(start, tuple(steps), success, int(seed))
+        pose = step(pose, action)
+        steps.append(EpisodeStep(true_c, seen, action, pose))
+    success = contact_type(pose.theta_x, pose.theta_z) == ContactType.IN_HOLE
+    return Episode(start, tuple(steps), success)
 
 
 def episode_to_dict(ep: Episode) -> dict:
@@ -347,14 +316,13 @@ def episode_to_dict(ep: Episode) -> dict:
         "steps": [
             [
                 int(s.true_contact),
-                int(s.observed_contact),
+                int(s.window[-1]),
                 int(s.action),
                 [s.next_pose.theta_x, s.next_pose.theta_z],
             ]
             for s in ep.steps
         ],
         "success": ep.success,
-        "seed": ep.seed,
     }
 
 

@@ -235,11 +235,6 @@ def _put_rows(array: np.ndarray, first_row: int, block: np.ndarray) -> None:
     array[first_row : first_row + len(block)] = block
 
 
-def kpca_fit(rows: np.ndarray, n_components: int) -> KernelPcaModel:
-    """Fit cosine kernel PCA on the rows of a feature matrix."""
-    return kpca_fit_transform(rows, n_components)[0]
-
-
 def kpca_transform(
     model: KernelPcaModel, rows: np.ndarray | DiskMatrix
 ) -> np.ndarray:

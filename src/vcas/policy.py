@@ -22,7 +22,6 @@ from .envsim import (
     Action,
     ContactType,
     DemoPair,
-    Episode,
     ObservationModel,
     PoseState,
     RolloutPolicy,
@@ -85,12 +84,6 @@ def policy_train(
         raise ParameterError("demo set is empty")
     if len({len(d.window) for d in demos}) > 1:
         raise ParameterError("demo windows have mixed lengths")
-    actions = {d.action for d in demos}
-    if len(actions) < 2:
-        only = next(iter(actions)).label
-        raise ParameterError(
-            f"demos contain only the {only} action; both actions are needed"
-        )
     rows = np.stack([encode_window(d.window) for d in demos])
     data = Dataset(rows, [int(d.action) for d in demos], ACTION_LABELS)
     return mlp_train(data, cfg)
@@ -111,24 +104,30 @@ def _choose(probs: np.ndarray, mode: str, rng: np.random.Generator | None) -> Ac
     raise ParameterError(f"unknown mode {mode!r}; use greedy or sample")
 
 
-def as_rollout_policy(net: MlpModel, mode: PolicyMode = "greedy") -> RolloutPolicy:
-    """Adapt a policy net to the (pose, window, rng) rollout signature.
+def as_rollout_policy(
+    policy: MlpModel | RolloutPolicy, mode: PolicyMode = "greedy"
+) -> tuple[RolloutPolicy, int]:
+    """The (pose, window, rng) callable that runs a policy, and its window length.
 
-    The returned callable remembers the action distribution of every
-    window it has seen, so each distinct window is encoded and run
-    through the network once.  The choice itself is made afresh on
-    every step (sample mode still draws from `rng` each time), so the
-    actions are exactly those of `_choose(_action_probs(...))` per step.
+    A bare callable (the expert, say) is returned as it is, with
+    WINDOW_LENGTH.  A net gets a callable that remembers the action
+    distribution of every window it has seen, so each distinct window
+    is encoded and run through the network once; the choice itself is
+    made afresh on every step (sample mode still draws from `rng` each
+    time), so the actions are exactly those of
+    `_choose(_action_probs(...))` per step.
     """
+    if not isinstance(policy, MlpModel):
+        return policy, WINDOW_LENGTH
     memo: dict[Window, np.ndarray] = {}
 
     def _policy(pose: PoseState, window: Window, rng: np.random.Generator) -> Action:
         probs = memo.get(window)
         if probs is None:
-            probs = memo[window] = _action_probs(net, window)
+            probs = memo[window] = _action_probs(policy, window)
         return _choose(probs, mode, rng)
 
-    return _policy
+    return _policy, policy.in_dim // TOKEN_COUNT
 
 
 def policy_eval(
@@ -142,42 +141,31 @@ def policy_eval(
     """Roll the policy from per-episode seeded starts; the JSON payload.
 
     The payload holds the success rate, the episode length statistics
-    and every failed episode.  Each episode gets independent start and
-    rollout seeds split from the root seed, so results do not depend on
-    execution order.  A bare rollout-policy callable (e.g. the expert)
-    is accepted too.
+    and every failed episode with its rollout seed.  Each episode gets
+    independent start and rollout seeds split from the root seed, so
+    results do not depend on execution order.  A bare rollout-policy
+    callable (e.g. the expert) is accepted too.
     """
     if n_episodes < 1:
         raise ParameterError("n_episodes must be >= 1")
-    if isinstance(model, MlpModel):
-        run = as_rollout_policy(model, mode=mode)
-        window_length = model.in_dim // TOKEN_COUNT
-    else:
-        run = model
-        window_length = WINDOW_LENGTH
-    episodes: list[Episode] = []
+    run, window_length = as_rollout_policy(model, mode)
+    lengths, failures = [], []
     for child in np.random.SeedSequence(seed).spawn(n_episodes):
         start_ss, roll_ss = child.spawn(2)
         start = start_pose_sampler(regime, int(start_ss.generate_state(1)[0]))
-        episodes.append(
-            rollout(
-                run,
-                start,
-                m,
-                seed=int(roll_ss.generate_state(1)[0]),
-                window_length=window_length,
-            )
-        )
-    lengths = np.array([ep.length for ep in episodes])
-    failures = [episode_to_dict(ep) for ep in episodes if not ep.success]
+        roll_seed = int(roll_ss.generate_state(1)[0])
+        ep = rollout(run, start, m, roll_seed, window_length=window_length)
+        lengths.append(len(ep.steps))
+        if not ep.success:
+            failures.append(dict(episode_to_dict(ep), seed=roll_seed))
     return {
         "regime": regime,
         "n_episodes": n_episodes,
         "success_rate": 1.0 - len(failures) / n_episodes,
-        "mean_length": float(lengths.mean()),
+        "mean_length": float(np.mean(lengths)),
         "length_p50": float(np.percentile(lengths, 50)),
         "length_p90": float(np.percentile(lengths, 90)),
-        "max_length": int(lengths.max()),
+        "max_length": max(lengths),
         "failures": failures,
     }
 

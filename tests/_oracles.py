@@ -5,7 +5,11 @@ textbook formulas) so a disagreement points at the production code,
 not at a shared helper.
 """
 
+from collections import deque
+
 import numpy as np
+
+from vcas import envsim
 
 
 def cosine_similarity(a, b):
@@ -182,3 +186,30 @@ def df2t_second_order(b, a, samples):
         z1 = b[2] * x - a[2] * y
         out[n] = y
     return out
+
+
+def expert_path_length(pose):
+    """Closed form of the expert's episode length: one 4.5 degree step per
+    grid cell each angle is short of 90."""
+    return int(round((90.0 - pose.theta_z + 90.0 - pose.theta_x) / 4.5))
+
+
+def generate_demos_reference(n_episodes, regime, m, seed, window_length=10):
+    """The expert's demo pairs from a loop of their own: per episode, one
+    generator draws the start pose, then one observation per step, pushed
+    into the left-padded window that is recorded with the expert's action.
+    """
+    demos = []
+    for child in np.random.SeedSequence(seed).spawn(n_episodes):
+        rng = np.random.default_rng(child)
+        pose = envsim.start_pose_sampler(regime, rng)
+        window = deque([None] * window_length, maxlen=window_length)
+        while True:
+            action = envsim.expert_action(pose)
+            if action is None:
+                break
+            true_c = envsim.contact_type(pose.theta_x, pose.theta_z)
+            window.append(envsim.sample_observation(m, true_c, rng))
+            demos.append(envsim.DemoPair(tuple(window), action))
+            pose = envsim.step(pose, action)
+    return demos

@@ -950,6 +950,26 @@ def test_sim_rollout_with_csv_observation_model(sim_workspace, tmp_path, capsys)
     assert (tmp_path / "sim" / "rollout.json").exists()
 
 
+@pytest.mark.parametrize("accuracy", ["7", "0", "-0.5", "nan"])
+@pytest.mark.parametrize("obs", ["default", "identity", "csv"])
+@pytest.mark.parametrize("command", ["rollout", "eval-policy"])
+def test_an_obs_accuracy_outside_0_1_exits_1_whatever_the_channel(
+    sim_workspace, tmp_path, capsys, command, obs, accuracy
+):
+    if obs == "csv":
+        counts = np.array([[18, 0, 2], [0, 19, 1], [1, 1, 18]])
+        labels = ("diagonal", "in_hole", "line")
+        obs = str(write_confusion_csv(ConfusionMatrix(counts, labels), tmp_path / "o.csv"))
+    policy = str(sim_workspace / "sim" / "policy.vcas")
+    argv = ["sim", command, "--policy", policy, "--obs", obs, "--obs-accuracy", accuracy]
+    if command == "eval-policy":
+        argv += ["--episodes", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: obs_accuracy must be"), err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_sim_train_policy_defaults_to_train_config(sim_workspace, monkeypatch):
     class Recorded(Exception):
         pass
@@ -1212,7 +1232,7 @@ _GOOD_DEMO = '{"action": 1, "window": [null, 0]}\n'
         (_GOOD_DEMO + '{"action": true, "window": [null, 1]}\n', ":2:"),
         (_GOOD_DEMO + '{"action": 1.0, "window": [null, 1]}\n', ":2:"),
         ("", ": demo set is empty"),
-        (_GOOD_DEMO * 2, ": demos contain only the rot_z action"),
+        (_GOOD_DEMO * 2, ": training labels cover a single class (rot_z)"),
     ],
     ids=["pad after an observation", "mixed window lengths", "token true",
          "token 1.0", "action true", "action 1.0", "empty file", "one action"],

@@ -3,22 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import expert_path_length, generate_demos_reference
 from vcas.envsim import (
     CONTACT_LABELS,
     GRID_MAX,
     GRID_STEP,
     MAX_EPISODE_STEPS,
+    START_REGIMES,
     Action,
     ContactType,
     DemoPair,
-    Episode,
-    EpisodeStep,
     ObservationModel,
     PoseState,
     contact_type,
     episode_to_dict,
     expert_action,
-    expert_path_length,
     expert_policy,
     generate_demos,
     grid_poses,
@@ -32,6 +31,7 @@ from vcas.envsim import (
 )
 from vcas.errors import DataError, ParameterError
 from vcas.learn import ConfusionMatrix, write_confusion_csv
+from vcas.policy import policy_eval
 
 IDENTITY = ObservationModel.identity()
 
@@ -119,7 +119,7 @@ def test_expert_path_length_matches_rollout_everywhere():
     for pose in grid_poses():
         predicted = expert_path_length(pose)
         ep = rollout(expert_policy, pose, IDENTITY, seed=0)
-        assert ep.length == predicted
+        assert len(ep.steps) == predicted
         assert ep.success
     longest = expert_path_length(PoseState(4.5, 4.5))
     assert longest == 38
@@ -241,6 +241,21 @@ def test_demos_deterministic_by_seed():
     assert a != c
 
 
+@pytest.mark.parametrize("regime", START_REGIMES)
+@pytest.mark.parametrize(
+    "m",
+    [ObservationModel.default(0.95), ObservationModel.default(0.5), IDENTITY],
+    ids=["default 0.95", "default 0.5", "identity"],
+)
+def test_demos_draw_what_the_reference_loop_draws(regime, m):
+    # The start pose first, then one observation per step, from one
+    # generator per episode.
+    for window_length in (1, 3, 10):
+        for seed in (0, 8):
+            want = generate_demos_reference(20, regime, m, seed, window_length)
+            assert generate_demos(20, regime, m, seed, window_length) == want
+
+
 def test_demos_window_length_and_validation():
     demos = generate_demos(1, "fixed", IDENTITY, seed=0, window_length=3)
     assert len(demos) == 20 and all(len(d.window) == 3 for d in demos)
@@ -257,7 +272,7 @@ def test_demos_window_length_and_validation():
 def test_rollout_expert_identity_from_fixed_start():
     ep = rollout(expert_policy, PoseState(45.0, 45.0), IDENTITY, seed=0)
     assert ep.success
-    assert ep.length == 20
+    assert len(ep.steps) == 20
     assert ep.steps[-1].next_pose == PoseState(90.0, 90.0)
     # theta_z aligns first, so the first ten actions all rotate z.
     assert all(s.action == Action.ROT_Z for s in ep.steps[:10])
@@ -267,26 +282,31 @@ def test_rollout_expert_identity_from_fixed_start():
 def test_rollout_single_axis_policy_never_finishes():
     ep = rollout(always_rot_z, PoseState(45.0, 45.0), IDENTITY, seed=0)
     assert not ep.success
-    assert ep.length == MAX_EPISODE_STEPS
+    assert len(ep.steps) == MAX_EPISODE_STEPS
     assert ep.steps[-1].next_pose == PoseState(45.0, 90.0)
 
 
 def test_rollout_goal_reached_on_final_step_counts():
     ep = rollout(expert_policy, PoseState(45.0, 45.0), IDENTITY, seed=0, max_steps=20)
     assert ep.success
-    assert ep.length == 20
+    assert len(ep.steps) == 20
     short = rollout(expert_policy, PoseState(45.0, 45.0), IDENTITY, seed=0, max_steps=19)
     assert not short.success
 
 
 def test_rollout_replays_bit_for_bit_from_stored_seed():
-    def reactive(pose, window, rng):
-        return Action.ROT_X if window[-1] == ContactType.LINE else Action.ROT_Z
+    # A policy_eval failure record holds the start and the rollout seed.
+    def hesitant(pose, window, rng):
+        if window[-1] == ContactType.LINE and rng.random() < 0.3:
+            return Action.ROT_X
+        return Action.ROT_Z
 
     m = ObservationModel.default(0.85)
-    first = rollout(reactive, PoseState(45.0, 45.0), m, seed=77)
-    again = rollout(reactive, first.start, m, seed=first.seed)
-    assert first == again
+    report = policy_eval(hesitant, "fixed", 10, m, seed=77)
+    assert 0 < len(report["failures"]) < 10
+    for record in report["failures"]:
+        again = rollout(hesitant, PoseState(*record["start"]), m, seed=record["seed"])
+        assert dict(episode_to_dict(again), seed=record["seed"]) == record
 
 
 def test_rollout_validation():
@@ -312,13 +332,6 @@ def test_rollout_validation():
 
     with pytest.raises(ParameterError, match="no action"):
         rollout(quitter, PoseState(45.0, 45.0), IDENTITY, seed=0)
-
-
-def test_episode_length_cap_enforced():
-    pose = PoseState(45.0, 45.0)
-    fake = EpisodeStep(ContactType.DIAGONAL, ContactType.DIAGONAL, Action.ROT_Z, pose)
-    with pytest.raises(ParameterError):
-        Episode(pose, (fake,) * (MAX_EPISODE_STEPS + 1), False, 0)
 
 
 # ------------------------------------------------------------ sampling
@@ -366,7 +379,6 @@ def test_episode_to_dict_layout():
         # true contact, observed contact, action, next pose
         "steps": [[ContactType.LINE, ContactType.LINE, Action.ROT_X, [90.0, 90.0]]],
         "success": True,
-        "seed": 3,
     }
 
 

@@ -9,7 +9,6 @@ from vcas.container import PayloadKind, read_container_lazily, write_container
 from vcas.errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from vcas.features import (
     fft_magnitude,
-    kpca_fit,
     kpca_fit_transform,
     kpca_transform,
     load_kpca,
@@ -69,14 +68,14 @@ def test_fft_batch_rejects_non_finite_samples_and_spectra():
 def test_cosine_kernel_scale_invariance():
     rng = np.random.default_rng(1)
     rows = np.abs(rng.normal(size=(8, 5))) + 0.1
-    model = kpca_fit(rows, 3)
+    model = kpca_fit_transform(rows, 3)[0]
     x = rng.normal(size=(4, 5))
     assert np.array_equal(kpca_transform(model, 2.0 * x), kpca_transform(model, x))
 
 
 def test_cosine_kernel_zero_row_rejected():
     rows = np.abs(np.random.default_rng(2).normal(size=(6, 3))) + 0.1
-    model = kpca_fit(rows, 2)
+    model = kpca_fit_transform(rows, 2)[0]
     with pytest.raises(DegenerateInputError):
         kpca_fit_transform(np.vstack([rows, np.zeros(3)]), 2)
     with pytest.raises(DegenerateInputError):
@@ -101,20 +100,20 @@ def test_kpca_matches_reference_small():
 def test_kpca_duplicate_rows_have_no_variance():
     rows = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
     with pytest.raises(ParameterError, match="0"):
-        kpca_fit(rows, 1)
+        kpca_fit_transform(rows, 1)
 
 
 def test_kpca_excess_components_reports_attainable_max():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(6, 4)) + 3.0
     with pytest.raises(ParameterError, match=r"\d+"):
-        kpca_fit(rows, 50)
+        kpca_fit_transform(rows, 50)
 
 
 def test_kpca_evr_sums_to_one_for_full_rank_fit():
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(12, 40)) + 2.0
-    model = kpca_fit(rows, 11)
+    model = kpca_fit_transform(rows, 11)[0]
     assert abs(model.explained_variance_ratio.sum() - 1.0) < 1e-9
 
 
@@ -138,7 +137,7 @@ def test_kpca_out_of_sample_matches_reference():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(25, 10)) + 2.0
     new = rng.normal(size=(7, 10)) + 2.0
-    model = kpca_fit(rows, 6)
+    model = kpca_fit_transform(rows, 6)[0]
     got = kpca_transform(model, new)
     _, _, _, project = kpca_reference(rows, 6)
     ref = project(new)
@@ -174,7 +173,7 @@ def test_kpca_single_row_transform_returns_vector():
     # a 1-D row is not a matrix of rows.
     rng = np.random.default_rng(11)
     rows = np.abs(rng.normal(size=(10, 6))) + 0.1
-    model = kpca_fit(rows, 3)
+    model = kpca_fit_transform(rows, 3)[0]
     out = kpca_transform(model, rows[:1])
     assert out.shape == (1, 3)
     with pytest.raises(ParameterError, match="matrix of rows"):
@@ -183,7 +182,7 @@ def test_kpca_single_row_transform_returns_vector():
 
 def test_kpca_length_mismatch_rejected():
     rng = np.random.default_rng(12)
-    model = kpca_fit(np.abs(rng.normal(size=(8, 6))) + 0.1, 2)
+    model = kpca_fit_transform(np.abs(rng.normal(size=(8, 6))) + 0.1, 2)[0]
     with pytest.raises(ParameterError):
         kpca_transform(model, np.ones((1, 5)))
 
@@ -244,7 +243,7 @@ def test_kpca_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     rows = np.abs(rng.normal(size=(12, 8))) + 0.1
     new = np.abs(rng.normal(size=(3, 8))) + 0.1
-    model = kpca_fit(rows, 4)
+    model = kpca_fit_transform(rows, 4)[0]
     path = save_kpca(model, tmp_path / "k.vcas", {"train_sessions": [0, 2]})
     with load_kpca(path) as (loaded, meta):
         assert meta == {"train_sessions": [0, 2]}
@@ -264,8 +263,9 @@ def test_a_streamed_fit_of_an_array_writes_the_file_save_kpca_writes(tmp_path, n
     # partial one.
     rng = np.random.default_rng(18)
     rows = np.abs(rng.normal(size=(11, n_bins))) + 0.1
-    want = save_kpca(kpca_fit(rows, 4), tmp_path / "want.vcas", {"train_sessions": [3]})
-    model, _ = kpca_fit_transform(rows, 4, tmp_path / "got.vcas", {"train_sessions": [3]})
+    meta = {"train_sessions": [3]}
+    want = save_kpca(kpca_fit_transform(rows, 4)[0], tmp_path / "want.vcas", meta)
+    model, _ = kpca_fit_transform(rows, 4, tmp_path / "got.vcas", meta)
     assert (tmp_path / "got.vcas").read_bytes() == want.read_bytes()
     assert model.projection is None and model.n_components == 4
 
@@ -299,7 +299,7 @@ def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
     # wider file, the way eval reads a test file.
     n_bins = 2 * features._BLOCK_BINS + 301
     rng = np.random.default_rng(17)
-    model = kpca_fit(np.abs(rng.normal(size=(20, n_bins))) + 0.1, 4)
+    model = kpca_fit_transform(np.abs(rng.normal(size=(20, n_bins))) + 0.1, 4)[0]
     wide = np.abs(rng.normal(size=(8, n_bins + 50))) + 0.1
     wide[6] = 0.0  # an all-zero row
     wide[7, 3000] = np.inf
@@ -330,10 +330,10 @@ def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
 def test_kpca_fit_id_hashes_eigenvalues_and_offset():
     rng = np.random.default_rng(15)
     rows = np.abs(rng.normal(size=(9, 5))) + 0.1
-    model = kpca_fit(rows, 2)
+    model = kpca_fit_transform(rows, 2)[0]
     want = hashlib.sha256(model.eigenvalues.tobytes() + model.offset.tobytes())
     assert model.fit_id == want.hexdigest()
-    assert kpca_fit(rows[1:], 2).fit_id != model.fit_id
+    assert kpca_fit_transform(rows[1:], 2)[0].fit_id != model.fit_id
 
 
 def test_kernel_form_kpca_file_is_rejected(tmp_path):
@@ -362,7 +362,7 @@ def test_kernel_form_kpca_file_is_rejected(tmp_path):
 def test_evr_csv_format(tmp_path):
     rng = np.random.default_rng(16)
     rows = np.abs(rng.normal(size=(10, 6))) + 0.1
-    model = kpca_fit(rows, 3)
+    model = kpca_fit_transform(rows, 3)[0]
     path = write_evr_csv(model, tmp_path / "evr.csv")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "component,eigenvalue,explained_variance_ratio,cumulative"

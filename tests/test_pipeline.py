@@ -10,7 +10,7 @@ from vcas import features
 from vcas.cli import cmd_synth_data
 from vcas.container import PayloadKind, read_container, write_container
 from vcas.errors import DataError, ParameterError
-from vcas.features import kpca_fit, kpca_fit_transform, load_kpca, save_kpca
+from vcas.features import kpca_fit_transform, load_kpca, save_kpca
 from vcas.learn import ConfusionMatrix, Dataset, TrainConfig
 from vcas.pipeline import (
     BANDS,
@@ -482,7 +482,7 @@ def test_a_streamed_kpca_fit_writes_the_file_save_kpca_writes(
     got_path = tmp_path / "models" / "got.vcas"
     with read_dataset_lazily(path) as on_disk:
         rows = (on_disk.rows if source == "file" else train.rows)[:, sl]
-        want = save_kpca(kpca_fit(rows, 3), tmp_path / "want.vcas", meta)
+        want = save_kpca(kpca_fit_transform(rows, 3)[0], tmp_path / "want.vcas", meta)
         _, want_emb = kpca_fit_transform(rows, 3)
         model, emb = kpca_fit_transform(rows, 3, got_path, meta)
     assert got_path.read_bytes() == want.read_bytes()

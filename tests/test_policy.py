@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import vcas.policy as policy_mod
+from _oracles import expert_path_length
 from vcas.envsim import (
     Action,
     ContactType,
     DemoPair,
     ObservationModel,
     PoseState,
-    expert_path_length,
     expert_policy,
     generate_demos,
     grid_poses,
@@ -176,11 +176,11 @@ def test_trained_policy_reads_line_window_as_rot_x(trained):
 
 def test_trained_policy_matches_expert_from_every_grid_start(trained):
     model, _, _ = trained
-    policy = as_rollout_policy(model)
+    policy, window_length = as_rollout_policy(model)
     for pose in grid_poses():
-        ep = rollout(policy, pose, IDENTITY, seed=1)
+        ep = rollout(policy, pose, IDENTITY, seed=1, window_length=window_length)
         assert ep.success
-        assert ep.length == expert_path_length(pose)
+        assert len(ep.steps) == expert_path_length(pose)
         ref = rollout(expert_policy, pose, IDENTITY, seed=1)
         assert [s.action for s in ep.steps] == [s.action for s in ref.steps]
 
