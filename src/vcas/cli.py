@@ -350,8 +350,8 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path) -> list[Path]:
         if mlp_meta.get("fit_id") != kpca.fit_id:
             raise DataError(
                 f"{mlp_path} was trained on kPCA fit {mlp_meta.get('fit_id')} but "
-                f"{kpca_path} holds fit {kpca.fit_id}; the two files "
-                "come from different train runs"
+                f"{kpca_path} holds fit {kpca.fit_id}; the two files come from "
+                "different train runs or an older vcas; rerun train"
             )
         if "train_sessions" not in kpca_meta:
             raise DataError(f"{kpca_path} lists no training sessions; rerun train")
@@ -424,19 +424,22 @@ def cmd_sim(subcommand: str, options, out_dir: str | Path) -> list[Path]:
         )
         return [write_json(payload, sim_dir / f"eval_{options.regime}.json")]
     if subcommand == "rollout":
+        # The start is a setting, so it is checked before any file is read;
+        # an off-grid pair keeps PoseState's own reason.
+        try:
+            x_str, z_str = options.start.split(",")
+            angles = float(x_str), float(z_str)
+        except ValueError as exc:
+            raise ParameterError(
+                f"--start expects THETA_X,THETA_Z, got {options.start!r}"
+            ) from exc
+        start = PoseState(*angles)
         policy = expert_policy
         if options.policy != "expert":
             if not Path(options.policy).exists():
                 raise DataError(f"no policy at {options.policy}")
             policy = load_policy(options.policy)
         policy_fn, window_length = as_rollout_policy(policy, options.mode)
-        try:
-            x_str, z_str = options.start.split(",")
-            start = PoseState(float(x_str), float(z_str))
-        except ValueError as exc:
-            raise ParameterError(
-                f"--start expects THETA_X,THETA_Z, got {options.start!r}"
-            ) from exc
         episode = rollout(
             policy_fn,
             start,

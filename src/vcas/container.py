@@ -17,7 +17,8 @@ Layout (all integers little-endian):
         data  prod(dims) * dtype bytes, little-endian IEEE-754, C order
 
 Arrays are `<f8` unless their writer declares `<f4` (a dataset's
-spectrum rows), and every read gives float64: read(write(x)) is
+spectrum rows, a kPCA projection), and every read gives float64 (a
+DiskMatrix gives its stored dtype if asked for it): read(write(x)) is
 bit-exact for `<f8` and gives x's float32 values, widened, for `<f4`.
 Reads and writes hold one copy of each array (a `<f4` one is read
 through a small staging buffer).  Every container is written by
@@ -243,13 +244,15 @@ class DiskMatrix:
 
     `m[r0:r1, c0:c1]` (or `m[r0:r1]`) is the DiskMatrix of those rows
     and columns and reads nothing; `np.asarray(m)` reads them into a new
-    C-ordered float64 array.  `<f8` data is read straight into it: a
-    range of whole rows, which lies in one piece of the file, with one
-    positional read, a column band with one per row.  `<f4` data is read
-    the same way into a staging buffer of a few rows (about
-    `_STAGING_BYTES`, at least one row), widened into the result one
-    group of rows at a time.  A DiskMatrix reads its file only while
-    the `read_container_lazily` block that made it is open.
+    C-ordered float64 array, and `np.asarray(m, dtype)` into one of the
+    stored dtype when that is the one asked for.  Data of the result's
+    dtype is read straight into it: a range of whole rows, which lies
+    in one piece of the file, with one positional read, a column band
+    with one per row.  `<f4` data for a float64 result is read the same
+    way into a staging buffer of a few rows (about `_STAGING_BYTES`, at
+    least one row), widened into the result one group of rows at a
+    time.  A DiskMatrix reads its file only while the
+    `read_container_lazily` block that made it is open.
     """
 
     def __init__(self, fh: IO[bytes], path, offset: int, shape: tuple[int, ...],
@@ -281,12 +284,14 @@ class DiskMatrix:
         if copy is False:
             raise ValueError("reading a DiskMatrix always makes a new array")
         fd = self._fh.fileno()  # ValueError once the file is closed
-        out = np.empty(self.shape, dtype="<f8")
+        as_stored = dtype is not None and np.dtype(dtype) == self._dtype
+        out = np.empty(self.shape, dtype=self._dtype if as_stored else "<f8")
         size, n_cols = self._dtype.itemsize, len(self._cols)
         row_bytes = size * self._row_len
         first = self._offset + self._rows.start * row_bytes + self._cols.start * size
-        # <f8 rows are read straight into `out`, all at once; <f4 rows a
-        # group of about _STAGING_BYTES at a time, then widened into `out`.
+        # Rows of out's dtype are read straight into `out`, all at once;
+        # <f4 rows for <f8 a group of about _STAGING_BYTES at a time, then
+        # widened into `out`.
         widen = self._dtype != out.dtype
         group = max(1, _STAGING_BYTES // (size * n_cols or 1) if widen else len(out))
         # Whole rows lie in one piece of the file; a band's rows do not.

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import (
+    _STAGING_BYTES,
     DiskMatrix,
     PayloadKind,
     atomic_write,
@@ -40,6 +41,9 @@ _EIG_TOL_FACTOR = 1e-10
 # 4,096-bin blocks (eigh sets it), and at 504 rows (500 components) at
 # 69, 71 and 87 MB.
 _BLOCK_BINS = 2048
+# The projection is stored rounded to float32, each value once, as a
+# dataset's rows are; the fit and an in-memory model keep float64.
+_STORED = np.dtype("<f4")
 
 
 def fft_magnitude(
@@ -104,13 +108,16 @@ class KernelPcaModel:
     A loaded model's projection is a DiskMatrix left in its file
     (load_kpca), read by kpca_transform one column block's rows at a
     time; a fit that wrote its projection straight to a file
-    (kpca_fit_transform with a path) holds None.
+    (kpca_fit_transform with a path) holds None.  `fit_id` names the
+    fit: the sha256 of the eigenvalues and offset as `<f8`, then of the
+    projection's rows as stored (`<f4`), in row order.
     """
 
     projection: np.ndarray | DiskMatrix | None
     offset: np.ndarray
     eigenvalues: np.ndarray
     explained_variance_ratio: np.ndarray
+    fit_id: str
 
     @property
     def n_components(self) -> int:
@@ -120,13 +127,24 @@ class KernelPcaModel:
     def n_bins(self) -> int:
         return self.projection.shape[0]
 
-    @property
-    def fit_id(self) -> str:
-        """sha256 of the stored eigenvalues and offset: names one fit."""
-        digest = hashlib.sha256()
-        for arr in (self.eigenvalues, self.offset):
-            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        return digest.hexdigest()
+
+def _fit_digest(eigenvalues: np.ndarray, offset: np.ndarray):
+    """A fit id's sha256, fed all but the projection's rows."""
+    digest = hashlib.sha256()
+    for arr in (eigenvalues, offset):
+        digest.update(np.ascontiguousarray(arr, dtype="<f8"))
+    return digest
+
+
+def _stored_rows(rows) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, those rows rounded to `_STORED`) for each group of `rows`.
+
+    `rows` is an array or a DiskMatrix.  A group is about
+    `_STAGING_BYTES` once rounded, so no block-sized copy is made.
+    """
+    step = max(1, _STAGING_BYTES // (_STORED.itemsize * rows.shape[1] or 1))
+    for r in range(0, rows.shape[0], step):
+        yield r, np.ascontiguousarray(rows[r : r + step], dtype=_STORED)
 
 
 def kpca_fit_transform(
@@ -154,7 +172,8 @@ def kpca_fit_transform(
     is opened once the eigensystem is known (it gives the component
     count and the arrays that go before the projection) and each block
     is written to it as it is made, so no bins-sized array is held; the
-    returned model's projection is None.
+    returned model's projection is None.  Either way each block is
+    hashed into the fit id as it would be stored.
     """
     shape = np.shape(rows)
     if len(shape) != 2 or shape[1] == 0:
@@ -215,24 +234,28 @@ def kpca_fit_transform(
         offset=-row_means @ coef + grand * coef.sum(axis=0),
         eigenvalues=kept_vals,
         explained_variance_ratio=kept_vals / float(evals[evals > tol].sum()),
+        fit_id="",
     )
+    digest = _fit_digest(model.eigenvalues, model.offset)
     scaled = (coef - coef.mean(axis=0)) / norms[:, None]
     if path is None:
         projection = np.empty((n_bins, n_components))
         model = replace(model, projection=projection)
-        sink = contextlib.nullcontext(functools.partial(_put_rows, projection))
+        sink = contextlib.nullcontext(functools.partial(_put_rows, projection, digest))
     else:
-        sink = _open_kpca(model, n_bins, path, meta)
+        sink = _open_kpca(model, n_bins, path, meta, digest)
     product = np.empty((min(n_bins, _BLOCK_BINS), n_components))
     with sink as put:
         for cols, block in _column_blocks(rows):
             put(cols.start, np.matmul(block.T, scaled, out=product[: block.shape[1]]))
             del block
-    return model, embeddings
+    return replace(model, fit_id=digest.hexdigest()), embeddings
 
 
-def _put_rows(array: np.ndarray, first_row: int, block: np.ndarray) -> None:
+def _put_rows(array: np.ndarray, digest, first_row: int, block: np.ndarray) -> None:
     array[first_row : first_row + len(block)] = block
+    for _, stored in _stored_rows(block):
+        digest.update(stored)
 
 
 def kpca_transform(
@@ -288,12 +311,14 @@ def write_evr_csv(model: KernelPcaModel, path: str | Path) -> Path:
 
 @contextlib.contextmanager
 def _open_kpca(
-    model: KernelPcaModel, n_bins: int, path: str | Path, meta: dict | None
+    model: KernelPcaModel, n_bins: int, path: str | Path, meta: dict | None, digest
 ) -> Iterator[Callable[[int, np.ndarray], None]]:
     """Open `model`'s file and write all but its projection.
 
-    Yields `put(first_row, block)` for the projection's rows; the file
-    appears at `path` once the block completes with every row put.
+    Yields `put(first_row, block)` for the projection's rows, which
+    rounds them to `_STORED` a group at a time, feeds each group to
+    `digest` and writes it; the file appears at `path` once the block
+    completes with every row put.
     """
     small = {
         "offset": model.offset,
@@ -304,18 +329,32 @@ def _open_kpca(
         "projection": (n_bins, model.n_components),
         **{name: arr.shape for name, arr in small.items()},
     }
-    with open_container(path, PayloadKind.KPCA_MODEL, shapes, meta) as put:
+    dtypes = {"projection": _STORED.str}
+    with open_container(path, PayloadKind.KPCA_MODEL, shapes, meta, dtypes) as put:
         for name, arr in small.items():
             put(name, 0, arr)
-        yield functools.partial(put, "projection")
+
+        def put_projection(first_row: int, block: np.ndarray) -> None:
+            for r, stored in _stored_rows(block):
+                digest.update(stored)
+                put("projection", first_row + r, stored)
+
+        yield put_projection
 
 
 def save_kpca(
     model: KernelPcaModel, path: str | Path, meta: dict | None = None
 ) -> Path:
-    """Write the primal-form model; `meta` adds entries to its metadata."""
-    with _open_kpca(model, model.n_bins, path, meta) as put:
+    """Write the primal-form model; `meta` adds entries to its metadata.
+
+    A model whose fit id does not name its arrays is refused, and no
+    file is written.
+    """
+    digest = _fit_digest(model.eigenvalues, model.offset)
+    with _open_kpca(model, model.n_bins, path, meta, digest) as put:
         put(0, model.projection)
+        if digest.hexdigest() != model.fit_id:
+            raise ParameterError("the model's fit_id does not name its arrays")
     return Path(path)
 
 
@@ -325,7 +364,8 @@ def load_kpca(path: str | Path) -> Iterator[tuple[KernelPcaModel, dict]]:
 
     The projection stays in the file as a DiskMatrix, which
     kpca_transform reads one column block's rows at a time until the
-    block exits.
+    block exits.  The fit id is worked out from the file's arrays, the
+    projection read once more a group of rows at a time.
     """
     with read_container_lazily(path, PayloadKind.KPCA_MODEL, "projection") as read:
         _, arrays, meta = read
@@ -335,15 +375,20 @@ def load_kpca(path: str | Path) -> Iterator[tuple[KernelPcaModel, dict]]:
                 "and offset; rerun train to refit it"
             )
         with built_from(path):
+            projection = arrays["projection"]
+            names = ("offset", "eigenvalues", "explained_variance_ratio")
+            if any(arrays[n].shape != projection.shape[1:] for n in names):
+                raise ValueError(f"{', '.join(names)} must each hold one per component")
+            digest = _fit_digest(arrays["eigenvalues"], arrays["offset"])
+            for _, stored in _stored_rows(projection):
+                digest.update(stored)
             model = KernelPcaModel(
-                projection=arrays["projection"],
+                projection=projection,
                 offset=arrays["offset"],
                 eigenvalues=arrays["eigenvalues"],
                 explained_variance_ratio=arrays["explained_variance_ratio"],
+                fit_id=digest.hexdigest(),
             )
-            names = ("offset", "eigenvalues", "explained_variance_ratio")
-            if any(arrays[n].shape != model.projection.shape[1:] for n in names):
-                raise ValueError(f"{', '.join(names)} must each hold one per component")
             sessions = meta.get("train_sessions", [])
             if not isinstance(sessions, list):
                 raise ValueError(f"train_sessions must be a list, got {sessions!r}")

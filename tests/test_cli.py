@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import hashlib
 import json
 import os
 import shutil
@@ -820,28 +821,49 @@ def _edit_container(path: Path, edit) -> None:
     write_container(path, kind, arrays, meta)
 
 
-@pytest.mark.parametrize("case", ["kpca offset edited", "no fit_id in either file"])
+def _projection_noise(arrays: dict, meta: dict) -> None:
+    rng = np.random.default_rng(0)
+    arrays["projection"] = rng.standard_normal(arrays["projection"].shape)
+
+
+def _older_fit_id(arrays: dict, meta: dict) -> None:
+    # Before the projection was hashed, a fit id named the eigenvalues
+    # and offset alone.
+    meta["fit_id"] = hashlib.sha256(
+        arrays["eigenvalues"].tobytes() + arrays["offset"].tobytes()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("case", ["kpca offset edited", "kpca projection replaced",
+                                  "no fit_id in either file", "a pair from an older vcas"])
 def test_eval_refuses_a_kpca_file_that_is_not_its_mlps_fit(
     workspace, tmp_path, capsys, case
 ):
-    # The kPCA file's fit is the hash of its own eigenvalues and offset,
-    # so neither a fit_id left in its metadata nor a missing one pairs it.
+    # The kPCA file's fit is the hash of its own eigenvalues, offset and
+    # projection, so neither a fit_id left in its metadata nor a missing
+    # one pairs it.
     for part in ("data", "models"):
         shutil.copytree(workspace / "grasp" / part, tmp_path / "grasp" / part)
     models = tmp_path / "grasp" / "models"
-    mlp_fit = read_container(models / "mlp_full.vcas")[2]["fit_id"]
+    kpca_path, mlp_path = models / "kpca_full.vcas", models / "mlp_full.vcas"
+    mlp_fit = read_container(mlp_path)[2]["fit_id"]
     if case == "kpca offset edited":
         _edit_container(
-            models / "kpca_full.vcas",
+            kpca_path,
             lambda a, m: (a.update(offset=a["offset"] + 1.0), m.update(fit_id=mlp_fit)),
         )
+    elif case == "kpca projection replaced":
+        _edit_container(kpca_path, _projection_noise)
+    elif case == "no fit_id in either file":
+        _edit_container(mlp_path, lambda a, m: m.pop("fit_id"))
     else:
-        _edit_container(models / "mlp_full.vcas", lambda a, m: m.pop("fit_id"))
+        kpca_arrays = read_container(kpca_path)[1]
+        _edit_container(mlp_path, lambda a, m: _older_fit_id(kpca_arrays, m))
     capsys.readouterr()
     assert main(["eval", "--task", "grasp", *TINY_GRASP, "--out", str(tmp_path)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: {models / 'mlp_full.vcas'} was trained on")
-    assert f"{models / 'kpca_full.vcas'} holds fit" in line
+    assert line.startswith(f"error: {mlp_path} was trained on")
+    assert f"{kpca_path} holds fit" in line and line.endswith("; rerun train")
     assert not (tmp_path / "grasp" / "eval").exists()
 
 
@@ -1034,6 +1056,28 @@ def test_sim_bad_start_exits_1(sim_workspace, tmp_path):
          "--obs", "identity", "--out", str(tmp_path)]
     )
     assert rc == 1
+
+
+_FORMAT = "--start expects THETA_X,THETA_Z, got {!r}"
+
+
+@pytest.mark.parametrize("start, message", [
+    ("everywhere", _FORMAT.format("everywhere")),
+    ("45", _FORMAT.format("45")),
+    ("45,45,45", _FORMAT.format("45,45,45")),
+    ("45,x", _FORMAT.format("45,x")),
+    ("45,46", "theta_z=46.0 is not a multiple of 4.5"),
+    ("0,45", "theta_x=0.0 outside (0, 90.0]"),
+])
+def test_a_bad_rollout_start_exits_1_before_the_policy_is_read(
+    tmp_path, capsys, start, message
+):
+    # No policy file exists at the path given: reading it would exit 2.
+    argv = ["sim", "rollout", "--policy", str(tmp_path / "nope.vcas"),
+            "--start", start, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):

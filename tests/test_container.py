@@ -353,6 +353,33 @@ def test_a_disk_matrix_reads_column_ranges_of_its_array(tmp_path):
         np.asarray(view)
 
 
+def test_a_disk_matrix_reads_its_stored_dtype_when_asked_for_it(tmp_path):
+    # A <f4 matrix asked for as <f4 is read straight, with no widening;
+    # asked for as anything else, or a <f8 matrix asked for as <f4, it is
+    # read as float64 and then converted.
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(9, 7))
+    path = tmp_path / "a.vcas"
+    shapes = {"f4": rows.shape, "f8": rows.shape}
+    with container.open_container(path, PayloadKind.DATASET, shapes, None,
+                                  {"f4": "<f4"}) as put:
+        put("f4", 0, rows)
+        put("f8", 0, rows)
+    rounded = rows.astype("<f4")
+    with container.read_container_lazily(path, on_disk="f4") as (_, got, _):
+        view = got["f4"]
+        for key in (slice(None), slice(2, 6), (slice(1, 8), slice(2, 5))):
+            want = rounded[key].copy()
+            for dtype in ("<f4", np.float32):
+                read = np.asarray(view[key], dtype=dtype)
+                assert read.dtype == np.float32 and read.tobytes() == want.tobytes()
+            wide = np.asarray(view[key])
+            assert wide.dtype == np.float64 and wide.tobytes() == want.astype("<f8").tobytes()
+    with container.read_container_lazily(path, on_disk="f8") as (_, got, _):
+        read = np.asarray(got["f8"], dtype="<f4")
+        assert read.dtype == np.float32 and read.tobytes() == rounded.tobytes()
+
+
 def test_a_disk_matrix_read_past_a_shrunk_file_is_a_data_error(tmp_path):
     arrays = {"m": np.ones((4, 3))}
     path = write_container(tmp_path / "a.vcas", PayloadKind.DATASET, arrays)

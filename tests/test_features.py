@@ -1,11 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vcas.features as features
 from _oracles import covariance_pca_projections, kpca_reference
-from vcas.container import PayloadKind, read_container_lazily, write_container
+from vcas.container import PayloadKind, _index, read_container_lazily, write_container
 from vcas.errors import DataError, DegenerateInputError, NumericalError, ParameterError
 from vcas.features import (
     fft_magnitude,
@@ -239,19 +240,75 @@ def test_kpca_leaves_its_input_rows_unchanged():
     assert (rows.tobytes(), new.tobytes()) == before
 
 
+def _as_stored(model):
+    """`model` with its projection rounded to float32 once, as a file stores it."""
+    return replace(model, projection=model.projection.astype("<f4").astype("<f8"))
+
+
 def test_kpca_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     rows = np.abs(rng.normal(size=(12, 8))) + 0.1
     new = np.abs(rng.normal(size=(3, 8))) + 0.1
     model = kpca_fit_transform(rows, 4)[0]
+    stored = _as_stored(model)
     path = save_kpca(model, tmp_path / "k.vcas", {"train_sessions": [0, 2]})
     with load_kpca(path) as (loaded, meta):
         assert meta == {"train_sessions": [0, 2]}
         assert loaded.fit_id == model.fit_id
         assert loaded.projection.shape == (8, 4)
-        assert np.asarray(loaded.projection).tobytes() == model.projection.tobytes()
+        assert np.asarray(loaded.projection).tobytes() == stored.projection.tobytes()
         assert loaded.offset.tobytes() == model.offset.tobytes()
         assert loaded.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+        got = kpca_transform(loaded, new)
+    assert got.tobytes() == kpca_transform(stored, new).tobytes()
+
+
+def test_a_kpca_file_stores_its_projection_as_f4(tmp_path):
+    rng = np.random.default_rng(20)
+    model = kpca_fit_transform(np.abs(rng.normal(size=(9, 300))) + 0.1, 3)[0]
+    path = save_kpca(model, tmp_path / "k.vcas")
+    with open(path, "rb") as fh:
+        _, _, index = _index(fh, path, PayloadKind.KPCA_MODEL)
+        dtypes = {name: dtype.str for name, (_, dtype, _) in index.items()}
+        assert dtypes == {"projection": "<f4", "offset": "<f8", "eigenvalues": "<f8",
+                          "explained_variance_ratio": "<f8"}
+        dims, _, offset = index["projection"]
+        fh.seek(offset)
+        want = model.projection.astype("<f4").tobytes()
+        assert dims == (300, 3) and fh.read(len(want)) == want
+
+
+def test_a_kpca_files_transform_is_within_float32_rounding_of_the_fits(tmp_path):
+    # Each stored projection value is within 2**-24 of its own magnitude,
+    # so an embedding moves by at most 2**-24 * (|x| @ |P|) / |x|, plus
+    # the float64 rounding of the two sums.
+    n_bins = 2 * features._BLOCK_BINS + 301
+    rng = np.random.default_rng(21)
+    model = kpca_fit_transform(np.abs(rng.normal(size=(30, n_bins))) + 0.1, 6)[0]
+    new = np.abs(rng.normal(size=(7, n_bins))) + 0.1
+    want = kpca_transform(model, new)
+    with load_kpca(save_kpca(model, tmp_path / "k.vcas")) as (loaded, _):
+        got = kpca_transform(loaded, new)
+    scale = np.abs(new) @ np.abs(model.projection) / np.linalg.norm(new, axis=1)[:, None]
+    bound = (2.0**-24 + 1e-12) * scale + 1e-15
+    assert (got != want).any()
+    assert (np.abs(got - want) <= bound).all()
+
+
+def test_a_kpca_file_with_an_f8_projection_still_loads_and_transforms(tmp_path):
+    # Files written before the projection was stored as float32 hold it
+    # as <f8, which reads back bit for bit.
+    rng = np.random.default_rng(22)
+    model = kpca_fit_transform(np.abs(rng.normal(size=(10, 40))) + 0.1, 3)[0]
+    new = np.abs(rng.normal(size=(4, 40))) + 0.1
+    names = ("projection", "offset", "eigenvalues", "explained_variance_ratio")
+    path = write_container(tmp_path / "k.vcas", PayloadKind.KPCA_MODEL,
+                           {name: getattr(model, name) for name in names},
+                           {"train_sessions": [1]})
+    with load_kpca(path) as (loaded, meta):
+        assert meta == {"train_sessions": [1]}
+        assert np.asarray(loaded.projection).tobytes() == model.projection.tobytes()
+        assert loaded.fit_id == model.fit_id
         got = kpca_transform(loaded, new)
     assert got.tobytes() == kpca_transform(model, new).tobytes()
 
@@ -297,15 +354,17 @@ def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
     # More bins than two column blocks, and not a multiple of a block, so
     # the transform sums three block products.  The rows are a band of a
     # wider file, the way eval reads a test file.
+    # The array is the model's projection rounded as the file stores it.
     n_bins = 2 * features._BLOCK_BINS + 301
     rng = np.random.default_rng(17)
-    model = kpca_fit_transform(np.abs(rng.normal(size=(20, n_bins))) + 0.1, 4)[0]
+    fitted = kpca_fit_transform(np.abs(rng.normal(size=(20, n_bins))) + 0.1, 4)[0]
+    model = _as_stored(fitted)
     wide = np.abs(rng.normal(size=(8, n_bins + 50))) + 0.1
     wide[6] = 0.0  # an all-zero row
     wide[7, 3000] = np.inf
     band = slice(20, 20 + n_bins)
     new = wide[:6, band]
-    kpca_path = save_kpca(model, tmp_path / "k.vcas")
+    kpca_path = save_kpca(fitted, tmp_path / "k.vcas")
     rows_path = write_container(tmp_path / "r.vcas", PayloadKind.DATASET, {"rows": wide})
     want = kpca_transform(model, new)
     want_one = kpca_transform(model, new[1:2])
@@ -327,13 +386,19 @@ def test_kpca_transform_gives_the_same_bits_from_arrays_and_files(tmp_path):
                 kpca_transform(projected, disk_rows[7:8])
 
 
-def test_kpca_fit_id_hashes_eigenvalues_and_offset():
+def test_kpca_fit_id_hashes_eigenvalues_offset_and_stored_projection(tmp_path):
     rng = np.random.default_rng(15)
     rows = np.abs(rng.normal(size=(9, 5))) + 0.1
     model = kpca_fit_transform(rows, 2)[0]
-    want = hashlib.sha256(model.eigenvalues.tobytes() + model.offset.tobytes())
+    want = hashlib.sha256(model.eigenvalues.tobytes() + model.offset.tobytes()
+                          + model.projection.astype("<f4").tobytes())
     assert model.fit_id == want.hexdigest()
     assert kpca_fit_transform(rows[1:], 2)[0].fit_id != model.fit_id
+    # save_kpca refuses a model whose id does not name its projection.
+    moved = replace(model, projection=model.projection + 1.0)
+    with pytest.raises(ParameterError, match="fit_id"):
+        save_kpca(moved, tmp_path / "k.vcas")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_form_kpca_file_is_rejected(tmp_path):
